@@ -15,6 +15,7 @@ from .eqsys import (
     Answer,
     Assignment,
     EquationSystem,
+    Program,
     Query,
     UnknownVariableError,
     compile_rhs_dsl,

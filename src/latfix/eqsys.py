@@ -1,11 +1,36 @@
-"""Computation trees, partial assignments, and equation systems.
+"""Computation trees, compiled programs, partial assignments, equation systems.
 
-A right-hand side is represented as a computation tree: either an immediate
-answer, or a query for one variable whose continuation maps the looked-up
-value to the rest of the computation.  Continuations are built on demand (the
-value space may be infinite) and must be deterministic, which makes every
-right-hand side pure: evaluation is a finite sequence of look-ups ending in a
-value, and the set of variables touched along the way is well defined.
+A right-hand side is pure: evaluating it is a finite sequence of variable
+look-ups ending in a value, and the set of variables touched along the way
+is well defined.  It takes one of two forms, and `eval_tree` runs both:
+
+  tree     an immediate `Answer`, or a `Query` for one variable whose
+           continuation maps the looked-up value to the rest of the
+           computation.  Continuations are built on demand (the value space
+           may be infinite) and must be deterministic.  Hand-built trees are
+           accepted wherever a right-hand side is.
+  program  what the expression languages compile to, once per right-hand
+           side: a `Program` holding one flat tuple of small-int opcodes
+           interleaved with their operands, run by one loop over an explicit
+           value stack.  Its query sequence is static data, so evaluation
+           allocates no nodes or closures.  A right-hand side that queries
+           nothing compiles to an `Answer`.
+
+Instructions (operands in brackets; "pop b, a" pops the top first):
+
+  GET [var]          push lookup(var)
+  LIT [value]        push value
+  CTX                push the context the program is bound to
+  JOIN, MEET         pop b, a; push ops.join(a, b) or ops.meet(a, b)
+  INC                replace the top v by ops.succ(v)
+  EQ, LEQ [target]   pop b, a; jump to target unless ops.eq(a, b) or
+                     ops.leq(a, b) holds
+  JMP [target]       jump to target
+  CELL [point]       replace the top d by lookup((point, d))
+  CALL [fn, n]       pop n arguments; push fn(*arguments)
+
+The lattice operations are looked up on the program's ops object when an
+instruction runs, never stored in the code.
 """
 
 from __future__ import annotations
@@ -17,6 +42,9 @@ from .lattice import LatticeOps, Value
 
 VarId = Hashable
 Lookup = Callable[[VarId], Value]
+
+OP_GET, OP_LIT, OP_CTX, OP_JOIN, OP_MEET, OP_INC, OP_EQ, OP_LEQ, OP_JMP, OP_CELL, \
+    OP_CALL = range(11)
 
 
 class UnknownVariableError(KeyError):
@@ -39,7 +67,18 @@ class Query:
     cont: Callable[[Value], "Tree"]
 
 
-Tree = Answer | Query
+class Program:
+    """A compiled right-hand side: flat code, its ops, and a bound context."""
+
+    __slots__ = ("code", "ops", "ctx")
+
+    def __init__(self, code: tuple, ops: LatticeOps, ctx: Value = None):
+        self.code = code
+        self.ops = ops
+        self.ctx = ctx
+
+
+Tree = Answer | Query | Program
 
 
 def as_lookup(source) -> Lookup:
@@ -57,11 +96,74 @@ def as_lookup(source) -> Lookup:
 
 
 def eval_tree(tree: Tree, lookup) -> Value:
-    """Run a computation tree against a total lookup."""
+    """Run a right-hand side, tree or program, against a total lookup.
+
+    A program runs in this frame: one loop over its code, with the top of the
+    value stack kept in `top`, so evaluation adds no frame per expression
+    level and every look-up is called from here.
+    """
     lookup = as_lookup(lookup)
-    while isinstance(tree, Query):
-        tree = tree.cont(lookup(tree.var))
-    return tree.value
+    if tree.__class__ is not Program:
+        while isinstance(tree, Query):
+            tree = tree.cont(lookup(tree.var))
+        return tree.value
+    code = tree.code
+    ops = tree.ops
+    stack = []
+    push = stack.append
+    pop = stack.pop
+    top = None
+    pc = 0
+    end = len(code)
+    while pc < end:
+        op = code[pc]
+        if op == OP_GET:
+            push(top)
+            top = lookup(code[pc + 1])
+            pc += 2
+        elif op == OP_LIT:
+            push(top)
+            top = code[pc + 1]
+            pc += 2
+        elif op == OP_JOIN:
+            top = ops.join(pop(), top)
+            pc += 1
+        elif op == OP_MEET:
+            top = ops.meet(pop(), top)
+            pc += 1
+        elif op == OP_EQ:
+            b = top
+            a = pop()
+            top = pop()
+            pc = pc + 2 if ops.eq(a, b) else code[pc + 1]
+        elif op == OP_LEQ:
+            b = top
+            a = pop()
+            top = pop()
+            pc = pc + 2 if ops.leq(a, b) else code[pc + 1]
+        elif op == OP_JMP:
+            pc = code[pc + 1]
+        elif op == OP_CELL:
+            top = lookup((code[pc + 1], top))
+            pc += 2
+        elif op == OP_CALL:
+            arity = code[pc + 2]
+            if arity == 1:
+                top = code[pc + 1](top)
+            else:
+                push(top)
+                args = stack[len(stack) - arity:]
+                del stack[len(stack) - arity:]
+                top = code[pc + 1](*args)
+            pc += 3
+        elif op == OP_CTX:
+            push(top)
+            top = tree.ctx
+            pc += 1
+        else:
+            top = ops.succ(top)
+            pc += 1
+    return top
 
 
 def tree_dep(tree: Tree, lookup) -> set:
@@ -71,20 +173,13 @@ def tree_dep(tree: Tree, lookup) -> set:
     """
     lookup = as_lookup(lookup)
     deps = set()
-    while isinstance(tree, Query):
-        deps.add(tree.var)
-        tree = tree.cont(lookup(tree.var))
+
+    def record(var):
+        deps.add(var)
+        return lookup(var)
+
+    eval_tree(tree, record)
     return deps
-
-
-def eval_tree_traced(tree: Tree, lookup) -> tuple[Value, list]:
-    """Like eval_tree, also returning the query sequence in order."""
-    lookup = as_lookup(lookup)
-    trace = []
-    while isinstance(tree, Query):
-        trace.append(tree.var)
-        tree = tree.cont(lookup(tree.var))
-    return tree.value, trace
 
 
 class Assignment:
@@ -136,11 +231,11 @@ def extend_top(assignment: Assignment) -> Lookup:
 
 
 class EquationSystem:
-    """Total mapping from variables to right-hand-side trees.
+    """Total mapping from variables to right-hand sides (trees or programs).
 
     The mapping may be defined lazily over an infinite variable space; for
     explicitly finite systems `all_vars` lists every variable.  Repeated
-    requests for the same variable must yield behaviorally identical trees.
+    requests for the same variable must yield behaviorally identical ones.
     """
 
     def __init__(self, rhs, all_vars: list | None = None):
@@ -182,37 +277,59 @@ def is_closed(assignment: Assignment, system: EquationSystem) -> bool:
 
 DslExpr = tuple
 
+def compile_rhs_dsl(expr: DslExpr, ops: LatticeOps) -> Program | Answer:
+    """Compile a DSL expression into a program, or an answer if it reads nothing.
 
-def compile_rhs_dsl(expr: DslExpr, ops: LatticeOps) -> Tree:
-    """Translate a DSL expression into a computation tree.
-
-    Every `get` becomes exactly one query; `ite` evaluates both comparison
-    operands, then continues in the selected branch only.
+    Every `get` becomes exactly one GET; operands are computed left to right,
+    and `ite` computes both comparison operands, then runs the selected
+    branch only.  Operations on literal operands are done here, once, so an
+    expression without `get` compiles to one literal.
     """
+    code = []
+    if _emit_dsl(expr, code, ops):
+        return Answer(code[1])
+    return Program(tuple(code), ops)
 
-    def build(e, k):
-        tag = e[0]
-        if tag == "lit":
-            return k(e[1])
-        if tag == "get":
-            return Query(e[1], k)
-        if tag == "join":
-            return build(e[1], lambda a: build(e[2], lambda b: k(ops.join(a, b))))
-        if tag == "meet":
-            return build(e[1], lambda a: build(e[2], lambda b: k(ops.meet(a, b))))
-        if tag == "inc":
-            return build(e[1], lambda a: k(ops.succ(a)))
-        if tag == "ite":
-            cmp_op, lhs, rhs = e[1]
 
-            def decide(a, b):
-                if cmp_op == "eq":
-                    taken = ops.eq(a, b)
-                else:
-                    taken = ops.leq(a, b)
-                return build(e[2], k) if taken else build(e[3], k)
-
-            return build(lhs, lambda a: build(rhs, lambda b: decide(a, b)))
-        raise ValueError(f"bad DSL expression tag {tag!r}")
-
-    return build(expr, Answer)
+def _emit_dsl(e: DslExpr, code: list, ops: LatticeOps) -> bool:
+    """Append the code of `e`; True if that code is a single LIT."""
+    tag = e[0]
+    if tag == "get":
+        code += (OP_GET, e[1])
+        return False
+    if tag == "lit":
+        code += (OP_LIT, e[1])
+        return True
+    if tag == "join" or tag == "meet":
+        literal = _emit_dsl(e[1], code, ops)
+        if _emit_dsl(e[2], code, ops) and literal:
+            a, b = code[-3], code[-1]
+            del code[-4:]
+            code += (OP_LIT, ops.join(a, b) if tag == "join" else ops.meet(a, b))
+            return True
+        code.append(OP_JOIN if tag == "join" else OP_MEET)
+        return False
+    if tag == "inc":
+        if _emit_dsl(e[1], code, ops):
+            code[-1] = ops.succ(code[-1])
+            return True
+        code.append(OP_INC)
+        return False
+    if tag == "ite":
+        cmp_op, lhs, rhs = e[1]
+        literal = _emit_dsl(lhs, code, ops)
+        if _emit_dsl(rhs, code, ops) and literal:
+            a, b = code[-3], code[-1]
+            del code[-4:]
+            taken = ops.eq(a, b) if cmp_op == "eq" else ops.leq(a, b)
+            return _emit_dsl(e[2] if taken else e[3], code, ops)
+        code += (OP_EQ if cmp_op == "eq" else OP_LEQ, None)
+        jump_else = len(code) - 1
+        _emit_dsl(e[2], code, ops)
+        code += (OP_JMP, None)
+        jump_end = len(code) - 1
+        code[jump_else] = len(code)
+        _emit_dsl(e[3], code, ops)
+        code[jump_end] = len(code)
+        return False
+    raise ValueError(f"bad DSL expression tag {tag!r}")

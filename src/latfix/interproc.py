@@ -18,7 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .eqsys import Answer, EquationSystem, Query, Tree, UnknownVariableError, as_lookup
+from .eqsys import (
+    OP_CALL,
+    OP_CELL,
+    OP_CTX,
+    OP_LIT,
+    Answer,
+    EquationSystem,
+    Program,
+    UnknownVariableError,
+    as_lookup,
+)
 from .lattice import LatticeOps, Value
 
 
@@ -156,38 +166,48 @@ def sem_expr(expr: Expr, ctx: Value, lookup, builtins: dict) -> Value:
     return ev(expr)
 
 
-def _expr_tree(expr: Expr, ctx: Value, scheme: Scheme) -> Tree:
-    """Computation-tree realization of one (point, context) right-hand side."""
+def _emit_expr(e: Expr, builtins: dict, code: list):
+    """Append the code of `e`, for any context a program binds.
 
-    def build(e, k):
-        if isinstance(e, Const):
-            return k(e.value)
-        if isinstance(e, Ctx):
-            return k(ctx)
-        if isinstance(e, Apply):
-            fn = scheme.builtins[e.fn]
-
-            def args(i, vals):
-                if i == len(e.args):
-                    return k(fn.fn(*vals))
-                return build(e.args[i], lambda v: args(i + 1, vals + [v]))
-
-            return args(0, [])
-        return build(e.arg, lambda d: Query((e.point, d), k))
-
-    return build(expr, Answer)
+    Arguments are computed left to right, and a cell computes its argument
+    before it queries.
+    """
+    if isinstance(e, Const):
+        code.extend((OP_LIT, e.value))
+    elif isinstance(e, Ctx):
+        code.append(OP_CTX)
+    elif isinstance(e, Apply):
+        for a in e.args:
+            _emit_expr(a, builtins, code)
+        code.extend((OP_CALL, builtins[e.fn].fn, len(e.args)))
+    else:
+        _emit_expr(e.arg, builtins, code)
+        code.extend((OP_CELL, e.point))
 
 
 def instantiate_system(scheme: Scheme) -> EquationSystem:
-    """Lazy equation system over (point, context) variables."""
+    """Lazy equation system over (point, context) variables.
+
+    Each point's expression is compiled once; the right-hand side of
+    (point, ctx) is that program bound to ctx, and a constant is an answer.
+    """
+    ops = scheme.ops
+    compiled = {}
+    for point, expr in scheme.rhs.items():
+        if isinstance(expr, Const):
+            compiled[point] = Answer(expr.value)
+        else:
+            code = []
+            _emit_expr(expr, scheme.builtins, code)
+            compiled[point] = tuple(code)
 
     def rhs(var):
         point, ctx = var
         try:
-            expr = scheme.rhs[point]
+            entry = compiled[point]
         except KeyError:
             raise UnknownVariableError(var) from None
-        return _expr_tree(expr, ctx, scheme)
+        return entry if entry.__class__ is Answer else Program(entry, ops, ctx)
 
     return EquationSystem(rhs)
 

@@ -70,7 +70,6 @@ class LatticeOps:
     top: Value
     is_finite = False
     has_arith = True  # succ/pred/add_const available
-    height: int | None = None
 
     def leq(self, a: Value, b: Value) -> bool:
         raise NotImplementedError
@@ -132,7 +131,6 @@ class _ChainOps(LatticeOps):
         self.name = f"chain({self.size})"
         self.bot = 0
         self.top = self.size - 1
-        self.height = self.size - 1
 
     def leq(self, a, b):
         return a <= b
@@ -199,7 +197,6 @@ class _PowersetOps(LatticeOps):
         self.name = "powerset({%s})" % ",".join(atoms)
         self.bot = frozenset()
         self.top = frozenset(atoms)
-        self.height = len(atoms)
 
     def leq(self, a, b):
         return a <= b

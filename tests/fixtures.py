@@ -1,8 +1,20 @@
-"""Shared systems and trees used across the test modules."""
+"""Shared systems, trees and reference compilers used across the test modules."""
 
 import random
 
-from latfix import Answer, Query, call_loop_system, gen_random_system
+from latfix import (
+    Answer,
+    Apply,
+    Const,
+    Ctx,
+    EquationSystem,
+    Query,
+    UnknownVariableError,
+    call_loop_system,
+    eval_tree,
+    gen_random_system,
+)
+from latfix.eqsys import as_lookup
 from latfix.lattice import Chain, Powerset
 
 EX1_NATINF = """\
@@ -89,3 +101,94 @@ def random_corpus(count, *, monotone_only=False, seed_base=0):
         out.append(gen_random_system(seed_base * 1_000_003 + i, nvars,
                                      descriptor, depth, monotone_only))
     return out
+
+
+def eval_tree_traced(tree, lookup):
+    """Like eval_tree, also returning the query sequence in order."""
+    lookup = as_lookup(lookup)
+    trace = []
+
+    def record(var):
+        trace.append(var)
+        return lookup(var)
+
+    return eval_tree(tree, record), trace
+
+
+# --- reference compilers ------------------------------------------------------
+#
+# The continuation-passing translations the expression languages used before
+# they compiled to flat programs.  Each evaluation walks freshly built Query
+# nodes; the compiled programs must agree with them on value and query order.
+
+def reference_compile_dsl(expr, ops):
+    """DSL expression to a computation tree, built on demand."""
+
+    def build(e, k):
+        tag = e[0]
+        if tag == "lit":
+            return k(e[1])
+        if tag == "get":
+            return Query(e[1], k)
+        if tag == "join":
+            return build(e[1], lambda a: build(e[2], lambda b: k(ops.join(a, b))))
+        if tag == "meet":
+            return build(e[1], lambda a: build(e[2], lambda b: k(ops.meet(a, b))))
+        if tag == "inc":
+            return build(e[1], lambda a: k(ops.succ(a)))
+        if tag == "ite":
+            cmp_op, lhs, rhs = e[1]
+
+            def decide(a, b):
+                if cmp_op == "eq":
+                    taken = ops.eq(a, b)
+                else:
+                    taken = ops.leq(a, b)
+                return build(e[2], k) if taken else build(e[3], k)
+
+            return build(lhs, lambda a: build(rhs, lambda b: decide(a, b)))
+        raise ValueError(f"bad DSL expression tag {tag!r}")
+
+    return build(expr, Answer)
+
+
+def reference_expr_tree(expr, ctx, scheme):
+    """Computation tree of one (point, context) right-hand side of a scheme."""
+
+    def build(e, k):
+        if isinstance(e, Const):
+            return k(e.value)
+        if isinstance(e, Ctx):
+            return k(ctx)
+        if isinstance(e, Apply):
+            fn = scheme.builtins[e.fn]
+
+            def args(i, vals):
+                if i == len(e.args):
+                    return k(fn.fn(*vals))
+                return build(e.args[i], lambda v: args(i + 1, vals + [v]))
+
+            return args(0, [])
+        return build(e.arg, lambda d: Query((e.point, d), k))
+
+    return build(expr, Answer)
+
+
+def reference_instantiate(scheme):
+    """instantiate_system over reference trees."""
+
+    def rhs(var):
+        point, ctx = var
+        try:
+            expr = scheme.rhs[point]
+        except KeyError:
+            raise UnknownVariableError(var) from None
+        return reference_expr_tree(expr, ctx, scheme)
+
+    return EquationSystem(rhs)
+
+
+def reference_system(gen):
+    """The generated system's equations as reference trees."""
+    rhs = {v: reference_compile_dsl(e, gen.ops) for v, e in gen.exprs.items()}
+    return EquationSystem(rhs, all_vars=gen.variables)

@@ -171,6 +171,17 @@ def test_solve_var_budget_exit(tmp_path):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("solver", ["tstp", "tsmp"])
+def test_solve_recursion_limit_exit_at_default_budget(tmp_path, capsys, solver):
+    # Each fresh context nests the solver deeper; Python's recursion limit is
+    # reached long before the default variable budget.
+    path = write(tmp_path, "rec.sch", SCHEME_RECURSIVE)
+    code, out = run_cli("solve", solver, path)
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_solve_scheme_with_start_override(tmp_path):
     path = write(tmp_path, "s.sch", SCHEME_NESTED_NATINF)
     code, out = run_cli("solve", "tsmp", path, "--start", "v:3", "--json")

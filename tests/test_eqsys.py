@@ -16,11 +16,10 @@ from latfix import (
     is_closed,
     tree_dep,
 )
-from latfix.eqsys import eval_tree_traced
 from latfix.lattice import Chain, INF, NatInf, Powerset, make_domain
 from latfix.cli import parse_finite_file
 
-from fixtures import EX1_NATINF, EX5_NATINF, branching_tree
+from fixtures import EX1_NATINF, EX5_NATINF, branching_tree, eval_tree_traced
 
 NAT = make_domain(NatInf())
 

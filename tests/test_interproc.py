@@ -19,7 +19,7 @@ from latfix import (
     tsmp,
     tstp,
 )
-from latfix.eqsys import EquationSystem, eval_tree_traced
+from latfix.eqsys import EquationSystem
 from latfix.interproc import Apply, Scheme, SchemeError, resolve_builtin
 from latfix.lattice import NatInf, make_domain
 from latfix.cli import parse_scheme_file
@@ -29,6 +29,7 @@ from fixtures import (
     SCHEME_NESTED_INTERVAL,
     SCHEME_NESTED_NATINF,
     SCHEME_RECURSIVE,
+    eval_tree_traced,
 )
 
 NAT = make_domain(NatInf())
