@@ -49,7 +49,6 @@ from .interproc import (
     check_stratified,
     instantiate_system,
     resolve_builtin,
-    sem_expr,
 )
 from .oracle import (
     ConcreteSystem,

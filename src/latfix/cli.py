@@ -25,6 +25,7 @@ or variable budget exceeded, Python's recursion limit hit, or out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -481,7 +482,7 @@ def _load_file(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     for _, body in _logical_lines(text):
         head = body.split(None, 1)[0]
@@ -683,7 +684,19 @@ def cmd_verify(args, out):
     return EXIT_CHECK_FAILED
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+@functools.cache
 def _build_parser():
+    # Built once per process: parsing leaves the parser as it was.
     parser = argparse.ArgumentParser(
         prog="latfix",
         description="Terminating fixpoint solvers over abstract lattices.")
@@ -693,7 +706,7 @@ def _build_parser():
         if with_solver:
             p.add_argument("solver", choices=SOLVERS)
         p.add_argument("file")
-        p.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+        p.add_argument("--fuel", type=_positive_int, default=DEFAULT_FUEL,
                        help="evaluation fuel for the warrowing baseline")
         p.add_argument("--start", default=None,
                        help="start override: VAR (finite) or POINT:VALUE (scheme)")

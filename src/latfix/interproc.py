@@ -27,7 +27,6 @@ from .eqsys import (
     EquationSystem,
     Program,
     UnknownVariableError,
-    as_lookup,
 )
 from .lattice import LatticeOps, Value
 
@@ -143,27 +142,6 @@ class Scheme:
             self._validate_expr(expr.arg, points)
             return
         raise SchemeError(f"bad expression node {expr!r}")
-
-
-def sem_expr(expr: Expr, ctx: Value, lookup, builtins: dict) -> Value:
-    """Evaluate an expression at a context against a variable lookup."""
-    lookup = as_lookup(lookup)
-
-    def ev(e):
-        if isinstance(e, Const):
-            return e.value
-        if isinstance(e, Ctx):
-            return ctx
-        if isinstance(e, Apply):
-            try:
-                fn = builtins[e.fn]
-            except KeyError:
-                raise SchemeError(f"unknown builtin {e.fn!r}") from None
-            return fn.fn(*[ev(a) for a in e.args])
-        # Cell: the inner expression's value picks the variable to read.
-        return lookup((e.point, ev(e.arg)))
-
-    return ev(expr)
 
 
 def _emit_expr(e: Expr, builtins: dict, code: list):

@@ -12,9 +12,19 @@ Four engines over one equation-system interface:
   warrow_solve  fuel-limited baseline on the tsmp skeleton that replaces the
                 phase flags with the derived warrowing operator
 
-All solvers assign priorities in discovery order (0, -1, -2, ...), detect
-widening/narrowing points dynamically (a variable queried at priority not
-below its querier's), and keep a priority queue with set semantics.
+The last three are drivers over one demand-driven core, `_demand`.  It gives
+priorities in discovery order (0, -1, -2, ...), detects widening/narrowing
+points dynamically (a variable queried at priority not below its querier's),
+keeps influence sets and a priority queue with set semantics, and applies one
+update rule.  At points the driver's mode picks the operator: WIDEN widens
+(tstp's phase 0); NARROW narrows, and other variables take the meet, so
+values only descend (tstp's phase 1, tsmp with its flag set); WARROW narrows
+if the new value is below the old one and widens otherwise (tsmp with its
+flag unset; narrowing sets the flag).  WARROW_LATE (warrow_solve) is WARROW
+with point membership sampled after the evaluation, so a self-dependency
+found by that very evaluation already counts.  This lets the operator flip
+between widening and narrowing forever on non-monotonic systems, which is the
+divergence warrow_solve exists to exhibit, and why it runs on fuel.
 
 Each solver's nested functions reference one another through their closure
 cells.  A solver empties those cells when it is done, so that reference
@@ -66,6 +76,13 @@ DEFAULT_VAR_BUDGET = 10**6
 def warrow(ops: LatticeOps, a: Value, b: Value) -> Value:
     """Derived operator: narrow when the new value is below the old, else widen."""
     return ops.narrow(a, b) if ops.leq(b, a) else ops.widen(a, b)
+
+
+WIDEN, NARROW, WARROW, WARROW_LATE = range(4)
+
+
+class _OutOfFuel(Exception):
+    pass
 
 
 class _PrioQueue:
@@ -147,6 +164,80 @@ def tsrr(variables, system: EquationSystem, ops: LatticeOps) -> SolverResult:
     return SolverResult(Assignment(ops, sigma), stats, SolveStatus.COMPLETED)
 
 
+def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None):
+    """The core of tstp, tsmp and warrow_solve (see the module docstring).
+
+    Returns (prio, infl, queue, stats, discover, requeue, reading, do_var).
+    The drivers own the assignments, whose keys are the variables solved into
+    them.  Once `fuel` evaluations are spent, do_var raises _OutOfFuel.
+    """
+    prio: dict = {}
+    infl: dict = {}
+    point: set = set()
+    queue = _PrioQueue()
+    stats = Stats()
+    reader = None  # the variable whose right-hand side is being evaluated
+
+    def discover(y):
+        if len(prio) >= var_budget:
+            raise VarBudgetExceeded(var_budget)
+        prio[y] = -len(prio)
+        infl[y] = set()
+
+    def requeue(y):
+        for z in infl[y]:
+            queue.insert(prio[z], z)
+        infl[y] = set()
+
+    def reading(sigma, solve):
+        # One look-up per assignment; solve(z, n) gets the reader's priority n.
+        def lookup(z):
+            n = prio[reader]
+            solve(z, n)
+            if prio[z] >= n:
+                point.add(z)
+            infl[z].add(reader)
+            return sigma[z]
+
+        return lookup
+
+    def do_var(y, sigma, mode, lookup):
+        """Re-evaluate y; True if stable, narrowed or in NARROW mode (sound)."""
+        nonlocal reader
+        if mode != WARROW_LATE:
+            isp = y in point
+            point.discard(y)
+        if stats.rhs_evals == fuel:
+            raise _OutOfFuel
+        stats.rhs_evals += 1
+        outer, reader = reader, y
+        new = eval_tree(system.rhs(y), lookup)
+        reader = outer
+        if mode == WARROW_LATE:
+            isp = y in point
+            point.discard(y)
+        old = sigma[y]
+        sound = mode == NARROW
+        if isp:
+            if mode == WIDEN or not (sound or ops.leq(new, old)):
+                new = ops.widen(old, new)
+                stats.widen_apps += 1
+            else:
+                new = ops.narrow(old, new)
+                stats.narrow_apps += 1
+                sound = True
+        elif sound:
+            new = ops.meet(old, new)
+        if ops.eq(old, new):
+            # A stable evaluation leaves a value that is sound as it stands.
+            return True
+        sigma[y] = new
+        requeue(y)
+        return sound
+
+    return prio, infl, queue, stats, discover, requeue, reading, do_var
+
+
 def tstp(system: EquationSystem, start, ops: LatticeOps, *,
          var_budget: int = DEFAULT_VAR_BUDGET) -> SolverResult:
     """Demand-driven two-phase solving from one start variable.
@@ -166,112 +257,43 @@ def tstp(system: EquationSystem, start, ops: LatticeOps, *,
     post-solution sigma0): sigma1 is a post-solution of f↓.  The paper's
     abstract gives no solver text; this clamp is a stated departure from it.
     """
+    prio, infl, queue, stats, discover, requeue, reading, do_var = _demand(
+        system, ops, var_budget)
     sigma0: dict = {}
     sigma1: dict = {}
-    dom0: set = set()
-    dom1: set = set()
-    infl: dict = {}
-    point: set = set()
-    prio: dict = {}
-    queue = _PrioQueue()
-    stats = Stats()
 
-    def next_prio():
-        return -len(prio)
-
-    def solve0(y):
-        if y in dom0:
+    def solve0(y, _n=None):
+        if y in sigma0:
             return
-        if len(dom0) >= var_budget:
-            raise VarBudgetExceeded(var_budget)
-        dom0.add(y)
-        prio[y] = next_prio()
+        discover(y)
         sigma0[y] = ops.bot
-        infl[y] = set()
-        do_var0(y)
-        iterate0(prio[y])
-
-    def iterate0(n):
+        do_var(y, sigma0, WIDEN, eval0)
+        n = prio[y]
         while queue and queue.min_prio() <= n:
-            do_var0(queue.extract_min())
-
-    def do_var0(y):
-        isp = y in point
-        point.discard(y)
-
-        def eval0(z):
-            solve0(z)
-            if prio[z] >= prio[y]:
-                point.add(z)
-            infl[z].add(y)
-            return sigma0[z]
-
-        stats.rhs_evals += 1
-        tmp = eval_tree(system.rhs(y), eval0)
-        if isp:
-            tmp = ops.widen(sigma0[y], tmp)
-            stats.widen_apps += 1
-        if ops.eq(sigma0[y], tmp):
-            return
-        sigma0[y] = tmp
-        for z in infl[y]:
-            queue.insert(prio[z], z)
-        infl[y] = set()
+            do_var(queue.extract_min(), sigma0, WIDEN, eval0)
 
     def solve1(y, n):
-        if y in dom1:
+        # Variables with priority below n (the reader's) are stabilized first.
+        if y in sigma1:
             return
         solve0(y)
-        dom1.add(y)
-        assert dom1 <= dom0
         sigma1[y] = sigma0[y]
-        for z in {y} | infl[y]:
-            queue.insert(prio[z], z)
-        infl[y] = set()
-        iterate1(n)
+        infl[y].add(y)  # queue y itself along with its readers
+        requeue(y)
+        while queue and queue.min_prio() < n:
+            z = queue.extract_min()
+            solve1(z, prio[z])
+            do_var(z, sigma1, NARROW, eval1)
 
-    def iterate1(n):
-        while queue and queue.min_prio() <= n:
-            y = queue.extract_min()
-            solve1(y, prio[y] - 1)
-            do_var1(y)
-
-    def do_var1(y):
-        isp = y in point
-        point.discard(y)
-
-        def eval1(z):
-            solve1(z, prio[y] - 1)
-            if prio[z] >= prio[y]:
-                point.add(z)
-            infl[z].add(y)
-            return sigma1[z]
-
-        stats.rhs_evals += 1
-        tmp = eval_tree(system.rhs(y), eval1)
-        if isp:
-            tmp = ops.narrow(sigma1[y], tmp)
-            stats.narrow_apps += 1
-        else:
-            tmp = ops.meet(sigma1[y], tmp)
-        if ops.eq(sigma1[y], tmp):
-            return
-        sigma1[y] = tmp
-        for z in infl[y]:
-            queue.insert(prio[z], z)
-        infl[y] = set()
-
-    solve1(start, 0)
+    eval0 = reading(sigma0, solve0)
+    eval1 = reading(sigma1, solve1)
+    solve1(start, 1)
     # Break the closure cycle (see the module docstring).
-    del next_prio, solve0, iterate0, do_var0, solve1, iterate1, do_var1
+    del solve0, solve1, eval0, eval1
     assert not queue
-    stats.vars_encountered = len(dom0)
-    return SolverResult(
-        Assignment(ops, sigma1),
-        stats,
-        SolveStatus.COMPLETED,
-        sigma0=Assignment(ops, sigma0),
-    )
+    stats.vars_encountered = len(sigma0)
+    return SolverResult(Assignment(ops, sigma1), stats, SolveStatus.COMPLETED,
+                        sigma0=Assignment(ops, sigma0))
 
 
 def tsmp(system: EquationSystem, start, ops: LatticeOps, *,
@@ -290,82 +312,34 @@ def tsmp(system: EquationSystem, start, ops: LatticeOps, *,
     f↓(σ_final) ⊑ f↓(σ_eval) ⊑ f(σ_eval) with the old value as bound.  This
     clamp is a stated departure from the paper's solver text.
     """
+    prio, _, queue, stats, discover, _, reading, do_var = _demand(
+        system, ops, var_budget)
     sigma: dict = {}
-    dom: set = set()
-    infl: dict = {}
-    point: set = set()
-    prio: dict = {}
-    queue = _PrioQueue()
-    stats = Stats()
 
-    def solve(y):
-        if y in dom:
+    def solve(y, _n=None):
+        if y in sigma:
             return
-        if len(dom) >= var_budget:
-            raise VarBudgetExceeded(var_budget)
-        dom.add(y)
-        prio[y] = -len(prio)
+        discover(y)
         sigma[y] = ops.bot
-        infl[y] = set()
-        b2 = do_var(False, y)
-        iterate(b2, prio[y])
+        iterate(do_var(y, sigma, WARROW, lookup), prio[y])
 
     def iterate(b, n):
         while queue and queue.min_prio() <= n:
             y = queue.extract_min()
-            b2 = do_var(b, y)
+            b2 = do_var(y, sigma, NARROW if b else WARROW, lookup)
             n2 = prio[y]
             if b != b2 and n > n2:
                 iterate(b2, n2)
             else:
                 b = b2
 
-    def do_var(b, y):
-        isp = y in point
-        point.discard(y)
-
-        def eval_(z):
-            solve(z)
-            if prio[z] >= prio[y]:
-                point.add(z)
-            infl[z].add(y)
-            return sigma[z]
-
-        stats.rhs_evals += 1
-        tmp = eval_tree(system.rhs(y), eval_)
-        b2 = b
-        if isp:
-            if b:
-                tmp = ops.narrow(sigma[y], tmp)
-                stats.narrow_apps += 1
-            elif ops.leq(tmp, sigma[y]):
-                tmp = ops.narrow(sigma[y], tmp)
-                stats.narrow_apps += 1
-                b2 = True
-            else:
-                tmp = ops.widen(sigma[y], tmp)
-                stats.widen_apps += 1
-        elif b:
-            tmp = ops.meet(sigma[y], tmp)
-        if ops.eq(sigma[y], tmp):
-            # A stable evaluation leaves a value that is sound as it stands.
-            return True
-        sigma[y] = tmp
-        for z in infl[y]:
-            queue.insert(prio[z], z)
-        infl[y] = set()
-        return b2
-
+    lookup = reading(sigma, solve)
     solve(start)
     # Break the closure cycle (see the module docstring).
-    del solve, iterate, do_var
+    del solve, iterate, lookup
     assert not queue
-    stats.vars_encountered = len(dom)
+    stats.vars_encountered = len(sigma)
     return SolverResult(Assignment(ops, sigma), stats, SolveStatus.COMPLETED)
-
-
-class _OutOfFuel(Exception):
-    pass
 
 
 def warrow_solve(system: EquationSystem, start, ops: LatticeOps, fuel: int, *,
@@ -373,69 +347,29 @@ def warrow_solve(system: EquationSystem, start, ops: LatticeOps, fuel: int, *,
     """Warrowing baseline on the tsmp skeleton, limited by an evaluation fuel.
 
     No phase flags: at widening/narrowing points the update applies the
-    warrowing operator to old and new value.  Point membership is sampled
-    after the evaluation, so a self-dependency discovered in the current
-    round already counts; this is what lets the operator flip between
-    widening and narrowing forever on non-monotonic systems, which is the
-    divergence this baseline exists to exhibit.  Each right-hand-side
-    evaluation burns one unit of fuel; running dry is reported as a status,
-    with the partial state reached so far.
+    warrowing operator to old and new value, with point membership sampled
+    after the evaluation (WARROW_LATE in the module docstring), which is why
+    it can diverge.  Each right-hand-side evaluation burns one unit of fuel;
+    running dry is reported as a status, with the partial state reached so
+    far.
     """
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
+    prio, _, queue, stats, discover, _, reading, do_var = _demand(
+        system, ops, var_budget, fuel)
     sigma: dict = {}
-    dom: set = set()
-    infl: dict = {}
-    point: set = set()
-    prio: dict = {}
-    queue = _PrioQueue()
-    stats = Stats()
 
-    def solve(y):
-        if y in dom:
+    def solve(y, _n=None):
+        if y in sigma:
             return
-        if len(dom) >= var_budget:
-            raise VarBudgetExceeded(var_budget)
-        dom.add(y)
-        prio[y] = -len(prio)
+        discover(y)
         sigma[y] = ops.bot
-        infl[y] = set()
-        do_var(y)
-        iterate(prio[y])
-
-    def iterate(n):
+        do_var(y, sigma, WARROW_LATE, lookup)
+        n = prio[y]
         while queue and queue.min_prio() <= n:
-            do_var(queue.extract_min())
+            do_var(queue.extract_min(), sigma, WARROW_LATE, lookup)
 
-    def do_var(y):
-        def eval_(z):
-            solve(z)
-            if prio[z] >= prio[y]:
-                point.add(z)
-            infl[z].add(y)
-            return sigma[z]
-
-        if stats.fuel_used >= fuel:
-            raise _OutOfFuel
-        stats.fuel_used += 1
-        stats.rhs_evals += 1
-        tmp = eval_tree(system.rhs(y), eval_)
-        isp = y in point
-        point.discard(y)
-        if isp:
-            if ops.leq(tmp, sigma[y]):
-                tmp = ops.narrow(sigma[y], tmp)
-                stats.narrow_apps += 1
-            else:
-                tmp = ops.widen(sigma[y], tmp)
-                stats.widen_apps += 1
-        if ops.eq(sigma[y], tmp):
-            return
-        sigma[y] = tmp
-        for z in infl[y]:
-            queue.insert(prio[z], z)
-        infl[y] = set()
-
+    lookup = reading(sigma, solve)
     try:
         solve(start)
         status = SolveStatus.COMPLETED
@@ -443,6 +377,7 @@ def warrow_solve(system: EquationSystem, start, ops: LatticeOps, fuel: int, *,
     except _OutOfFuel:
         status = SolveStatus.FUEL_EXHAUSTED
     # Break the closure cycle (see the module docstring).
-    del solve, iterate, do_var
-    stats.vars_encountered = len(dom)
+    del solve, lookup
+    stats.fuel_used = stats.rhs_evals
+    stats.vars_encountered = len(sigma)
     return SolverResult(Assignment(ops, sigma), stats, status)

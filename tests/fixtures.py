@@ -9,6 +9,7 @@ from latfix import (
     Ctx,
     EquationSystem,
     Query,
+    SchemeError,
     UnknownVariableError,
     call_loop_system,
     eval_tree,
@@ -150,6 +151,27 @@ def reference_compile_dsl(expr, ops):
         raise ValueError(f"bad DSL expression tag {tag!r}")
 
     return build(expr, Answer)
+
+
+def sem_expr(expr, ctx, lookup, builtins):
+    """Evaluate a scheme expression at a context against a variable lookup."""
+    lookup = as_lookup(lookup)
+
+    def ev(e):
+        if isinstance(e, Const):
+            return e.value
+        if isinstance(e, Ctx):
+            return ctx
+        if isinstance(e, Apply):
+            try:
+                fn = builtins[e.fn]
+            except KeyError:
+                raise SchemeError(f"unknown builtin {e.fn!r}") from None
+            return fn.fn(*[ev(a) for a in e.args])
+        # Cell: the inner expression's value picks the variable to read.
+        return lookup((e.point, ev(e.arg)))
+
+    return ev(expr)
 
 
 def reference_expr_tree(expr, ctx, scheme):

@@ -159,6 +159,24 @@ def test_solve_warrow_fuel_exhaustion(tmp_path):
     assert "fuel-exhausted" in out
 
 
+@pytest.mark.parametrize("fuel", ["0", "-5"])
+def test_solve_fuel_below_one_is_a_usage_error(capsys, fuel):
+    path = str(SAMPLES / "flipflop_natinf.lat")
+    code, out = run_cli("solve", "warrow", path, "--fuel", fuel)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error: argument --fuel" in capsys.readouterr().err
+
+
+def test_solve_non_utf8_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.lat"
+    path.write_bytes(b"lattice natinf\nvar y1 = lit 0  # caf\xe9\n")
+    code, out = run_cli("solve", "tsmp", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
+
+
 def test_solve_parse_error_exit(tmp_path):
     path = write(tmp_path, "bad.lat", "lattice chain 0\nvar y = lit 0\n")
     code, _ = run_cli("solve", "tsmp", path)

@@ -14,7 +14,6 @@ from latfix import (
     extend_top,
     instantiate_system,
     kleene_least_solution,
-    sem_expr,
     tree_dep,
     tsmp,
     tstp,
@@ -30,6 +29,7 @@ from fixtures import (
     SCHEME_NESTED_NATINF,
     SCHEME_RECURSIVE,
     eval_tree_traced,
+    sem_expr,
 )
 
 NAT = make_domain(NatInf())

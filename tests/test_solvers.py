@@ -19,7 +19,7 @@ from latfix import (
     warrow_solve,
 )
 from latfix.cli import parse_finite_file, parse_scheme_file
-from latfix.interproc import instantiate_system
+from latfix.interproc import check_levels, check_stratified, instantiate_system
 from latfix.lattice import INF
 
 from fixtures import (
@@ -319,6 +319,63 @@ def test_demand_driven_solvers_terminate_on_infinite_lattices(text):
         result = solver(prog.system, prog.var_order[0], prog.ops)
         assert result.status is SolveStatus.COMPLETED
         assert is_closed(result.assignment, prog.system)
+
+
+# Stratified schemes: a cell to a point at the caller's level passes exactly
+# `ctx`, and a cell to a lower level may compute any context.  This is the
+# condition under which the demand-driven solvers meet finitely many contexts
+# per point.
+
+SCHEME_BUILTINS = {
+    "natinf": ["inc", "dec", "id", "add_const:2", "meet_const:6", "join_const:1"],
+    "interval": ["inc", "dec", "id", "add_const:-1", "meet_const:[-3,6]",
+                 "join_const:[1,2]"],
+}
+
+
+@st.composite
+def stratified_scheme_files(draw):
+    lattice, lits = draw(st.sampled_from(
+        [("natinf", NATINF_LITS), ("interval", INTERVAL_LITS)]))
+    points = [f"p{i}" for i in range(draw(st.integers(1, 4)))]
+    level = {u: draw(st.integers(0, 2)) for u in points}
+
+    def form(caller, depth):
+        same = [u for u in points if level[u] == level[caller]]
+        lower = [u for u in points if level[u] < level[caller]]
+        kinds = ["ctx", "lit", "cell-same"]
+        if depth > 0:
+            kinds += ["join", "meet", "apply"] + (["cell-lower"] if lower else [])
+        kind = draw(st.sampled_from(kinds))
+        sub = lambda: f"({form(caller, depth - 1)})"
+        if kind == "ctx":
+            return "ctx"
+        if kind == "lit":
+            return f"lit {draw(lits)}"
+        if kind == "cell-same":
+            return f"cell {draw(st.sampled_from(same))} ctx"
+        if kind == "cell-lower":
+            return f"cell {draw(st.sampled_from(lower))} {sub()}"
+        if kind == "apply":
+            return f"apply {draw(st.sampled_from(SCHEME_BUILTINS[lattice]))} {sub()}"
+        return f"{kind} {sub()} {sub()}"
+
+    lines = [f"scheme {lattice}", f"start {points[0]} {draw(lits)}"]
+    lines += [f"point {u} = {form(u, 3)}" for u in points]
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None)
+@given(stratified_scheme_files())
+def test_demand_driven_solvers_terminate_on_stratified_schemes(text):
+    scheme = parse_scheme_file(text)
+    levels = check_stratified(scheme)
+    assert isinstance(levels, dict) and check_levels(scheme, levels)
+    system = instantiate_system(scheme)
+    for solver in (tstp, tsmp):
+        result = solver(system, scheme.start, scheme.ops, var_budget=5000)
+        assert result.status is SolveStatus.COMPLETED
+        assert is_closed(result.assignment, system)
 
 
 def test_stats_are_deterministic(ex5):
