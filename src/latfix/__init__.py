@@ -36,13 +36,8 @@ from .solvers import (
     warrow_solve,
 )
 from .interproc import (
-    Apply,
     BuiltinFn,
-    CTX,
-    Cell,
-    Const,
     CounterexampleCycle,
-    Ctx,
     Scheme,
     SchemeError,
     check_levels,

@@ -1,7 +1,8 @@
 """File formats and the command-line driver.
 
 Two input formats, both line-oriented with `#` comments and s-expression
-bodies:
+bodies.  One parser reads both into the tag-tuple IR of `latfix.eqsys`, each
+language accepting only its own forms, and one renderer writes them back:
 
 finite systems::
 
@@ -32,12 +33,7 @@ from dataclasses import dataclass
 
 from .eqsys import EquationSystem, compile_rhs_dsl, is_closed
 from .interproc import (
-    CTX,
-    Apply,
-    Cell,
     CounterexampleCycle,
-    Const,
-    Ctx,
     Scheme,
     SchemeError,
     check_stratified,
@@ -111,13 +107,58 @@ def _is_name(token):
         c.isalnum() or c == "_" for c in token)
 
 
-class _Tokens:
-    def __init__(self, tokens, lineno):
-        self.tokens = tokens
-        self.lineno = lineno
-        self.pos = 0
+def _parse_descriptor(tokens, lineno):
+    if not tokens:
+        raise ParseError("missing lattice kind", lineno)
+    kind, args = tokens[0], tokens[1:]
+    if kind == "chain" and len(args) != 1:
+        raise ParseError("chain takes one size argument", lineno)
+    if kind in ("natinf", "interval") and args:
+        raise ParseError(f"{kind} takes no arguments", lineno)
+    try:
+        if kind == "chain":
+            return make_domain(Chain(int(args[0])))
+        if kind == "powerset":
+            return make_domain(Powerset(tuple(args)))
+        if kind in ("natinf", "interval"):
+            return make_domain(NatInf() if kind == "natinf" else Interval())
+    except (LatticeError, ValueError) as exc:
+        raise ParseError(str(exc), lineno) from None
+    raise ParseError(f"unknown lattice kind {kind!r}", lineno)
 
-    def take(self, what="token"):
+
+# --- the two input languages -------------------------------------------------------
+#
+# Both parse to the tag-tuple IR of `latfix.eqsys` through one expression
+# parser; a language only decides which forms it accepts and what its
+# declarations name.
+
+@dataclass(frozen=True)
+class _Language:
+    header: str          # the first directive
+    directives: tuple    # the declaration keyword, then any other directive
+    noun: str            # what a declaration names
+    forms: frozenset
+
+
+_FINITE = _Language("lattice", ("var",), "variable",
+                    frozenset({"get", "lit", "join", "meet", "inc", "ite"}))
+_SCHEME = _Language("scheme", ("point", "start"), "point",
+                    frozenset({"ctx", "lit", "join", "meet", "apply", "cell"}))
+
+_CTX = ("ctx",)
+
+
+class _Reader:
+    """The tokens of one declaration, and what its expression may use."""
+
+    def __init__(self, lang, ops, names):
+        self.lang, self.ops, self.names, self.builtins = lang, ops, names, {}
+
+    def reset(self, tokens, lineno):
+        self.tokens, self.lineno, self.pos = tokens, lineno, 0
+
+    def take(self, what):
         if self.pos >= len(self.tokens):
             raise ParseError(f"expected {what}, found end of line", self.lineno)
         tok = self.tokens[self.pos]
@@ -132,34 +173,148 @@ class _Tokens:
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def done(self):
-        return self.pos >= len(self.tokens)
 
-
-def _parse_descriptor(tokens, lineno):
-    if not tokens:
-        raise ParseError("missing lattice kind", lineno)
-    kind, args = tokens[0], tokens[1:]
+def _parse_value(ops, token, lineno):
     try:
-        if kind == "chain":
-            if len(args) != 1:
-                raise ParseError("chain takes one size argument", lineno)
-            return make_domain(Chain(int(args[0])))
-        if kind == "natinf":
-            if args:
-                raise ParseError("natinf takes no arguments", lineno)
-            return make_domain(NatInf())
-        if kind == "interval":
-            if args:
-                raise ParseError("interval takes no arguments", lineno)
-            return make_domain(Interval())
-        if kind == "powerset":
-            return make_domain(Powerset(tuple(args)))
-    except (LatticeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
+        return ops.parse(token)
+    except LatticeError as exc:
         raise ParseError(str(exc), lineno) from None
-    raise ParseError(f"unknown lattice kind {kind!r}", lineno)
+
+
+def _parse_form(r):
+    op = r.take("an operator")
+    if op not in r.lang.forms:
+        raise ParseError(f"unknown operator {op!r}", r.lineno)
+    if op == "lit":
+        return ("lit", _parse_value(r.ops, r.take("a value"), r.lineno))
+    if op == "ctx":
+        return _CTX
+    if op == "get" or op == "cell":
+        name = r.take(f"a {r.lang.noun} name")
+        if name not in r.names:
+            raise ParseError(f"unknown {r.lang.noun} {name!r}", r.lineno)
+        return ("get", name) if op == "get" else ("cell", name, _parse_arg(r))
+    if op == "apply":
+        name = r.take("a builtin name")
+        if name != "join" and name != "meet":
+            if name not in r.builtins:
+                try:
+                    r.builtins[name] = resolve_builtin(name, r.ops)
+                except (SchemeError, LatticeError) as exc:
+                    raise ParseError(str(exc), r.lineno) from None
+            arity = r.builtins[name].arity
+            return ("apply", name, *[_parse_arg(r) for _ in range(arity)])
+        op = name    # `apply join` is the join form
+    if op == "join" or op == "meet":
+        return (op, _parse_arg(r), _parse_arg(r))
+    if op == "inc":
+        if not r.ops.has_arith:
+            raise ParseError(f"'inc' is not defined on {r.ops.name}", r.lineno)
+        return ("inc", _parse_arg(r))
+    r.expect("(")
+    cmp_op = r.take("a comparison (eq or leq)")
+    if cmp_op not in ("eq", "leq"):
+        raise ParseError(f"unknown comparison {cmp_op!r}", r.lineno)
+    guard = (cmp_op, _parse_arg(r), _parse_arg(r))
+    r.expect(")")
+    return ("ite", guard, _parse_arg(r), _parse_arg(r))
+
+
+def _parse_arg(r):
+    tok = r.peek()
+    if tok == "(":
+        r.pos += 1
+        form = _parse_form(r)
+        r.expect(")")
+        return form
+    if tok == "ctx" and "ctx" in r.lang.forms:
+        r.pos += 1
+        return _CTX
+    ctx = " or 'ctx'" if "ctx" in r.lang.forms else ""
+    raise ParseError(f"expected a parenthesized expression{ctx}, found {tok!r}",
+                     r.lineno)
+
+
+def _parse_file(text, lang):
+    """Read one file of `lang`: its lattice, its declarations, their expressions.
+
+    Returns the ops, the declared names in order, their expressions, the
+    builtins those use, and the (line, tokens) of a `start` directive.
+    """
+    lines = list(_logical_lines(text))
+    if not lines:
+        raise ParseError("empty file")
+    lineno, header = lines[0]
+    tokens = _tokenize(header)
+    if tokens[0] != lang.header:
+        raise ParseError(f"expected a '{lang.header} ...' directive", lineno)
+    ops = _parse_descriptor(tokens[1:], lineno)
+
+    keyword = lang.directives[0]
+    decls = {}
+    start = None
+    for lineno, body in lines[1:]:
+        tokens = _tokenize(body)
+        if tokens[0] == "start" and "start" in lang.directives:
+            if start is not None:
+                raise ParseError("duplicate start directive", lineno)
+            start = (lineno, tokens[1:])
+            continue
+        if tokens[0] != keyword:
+            expected = " or ".join(f"'{d}'" for d in lang.directives)
+            raise ParseError(f"expected {expected}, found {tokens[0]!r}", lineno)
+        if len(tokens) < 4 or tokens[2] != "=":
+            raise ParseError(f"expected '{keyword} NAME = EXPR'", lineno)
+        name = tokens[1]
+        if not _is_name(name):
+            raise ParseError(f"bad {lang.noun} name {name!r}", lineno)
+        if name in decls:
+            raise ParseError(f"duplicate {lang.noun} {name!r}", lineno)
+        decls[name] = (lineno, tokens[3:])
+    if not decls:
+        raise ParseError(f"no {lang.noun}s")
+    if "start" in lang.directives and start is None:
+        raise ParseError("missing start")
+
+    reader = _Reader(lang, ops, decls)
+    exprs = {}
+    for name, (lineno, tokens) in decls.items():
+        reader.reset(tokens, lineno)
+        try:
+            exprs[name] = _parse_form(reader)
+        except RecursionError:
+            raise ParseError("expression nested too deeply", lineno) from None
+        if reader.peek() is not None:
+            raise ParseError(f"trailing tokens after expression: {reader.peek()!r}",
+                             lineno)
+    return ops, list(decls), exprs, reader.builtins, start
+
+
+def _render(expr, ops):
+    tag = expr[0]
+    if tag == "lit":
+        return f"lit {ops.format(expr[1])}"
+    if tag == "ctx":
+        return "ctx"
+    if tag == "ite":
+        cmp_op, lhs, rhs = expr[1]
+        return (f"ite ({cmp_op} {_render_arg(lhs, ops)} {_render_arg(rhs, ops)}) "
+                f"{_render_arg(expr[2], ops)} {_render_arg(expr[3], ops)}")
+    head = expr[:2] if tag in ("get", "cell", "apply") else expr[:1]
+    return " ".join([*head, *[_render_arg(a, ops) for a in expr[len(head):]]])
+
+
+def _render_arg(expr, ops):
+    return "ctx" if expr == _CTX else f"({_render(expr, ops)})"
+
+
+def _lattice_directive(ops):
+    d = ops.descriptor
+    if isinstance(d, Chain):
+        return f"chain {d.size}"
+    if isinstance(d, Powerset):
+        return "powerset " + " ".join(d.atoms)
+    return "natinf" if isinstance(d, NatInf) else "interval"
 
 
 # --- finite-system files --------------------------------------------------------
@@ -172,276 +327,39 @@ class FiniteProgram:
     system: EquationSystem
 
 
-def _parse_value(ts, ops, what="a value"):
-    tok = ts.take(what)
-    try:
-        return ops.parse(tok)
-    except LatticeError as exc:
-        raise ParseError(str(exc), ts.lineno) from None
-
-
-def _parse_dsl_form(ts, ops, var_names):
-    op = ts.take("an operator")
-    if op == "get":
-        name = ts.take("a variable name")
-        if name not in var_names:
-            raise ParseError(f"unknown variable {name!r}", ts.lineno)
-        return ("get", name)
-    if op == "lit":
-        return ("lit", _parse_value(ts, ops))
-    if op in ("join", "meet"):
-        return (op, _parse_dsl_arg(ts, ops, var_names),
-                _parse_dsl_arg(ts, ops, var_names))
-    if op == "inc":
-        if not ops.has_arith:
-            raise ParseError(f"'inc' is not defined on {ops.name}", ts.lineno)
-        return ("inc", _parse_dsl_arg(ts, ops, var_names))
-    if op == "ite":
-        ts.expect("(")
-        cmp_op = ts.take("a comparison (eq or leq)")
-        if cmp_op not in ("eq", "leq"):
-            raise ParseError(f"unknown comparison {cmp_op!r}", ts.lineno)
-        guard = (cmp_op, _parse_dsl_arg(ts, ops, var_names),
-                 _parse_dsl_arg(ts, ops, var_names))
-        ts.expect(")")
-        return ("ite", guard, _parse_dsl_arg(ts, ops, var_names),
-                _parse_dsl_arg(ts, ops, var_names))
-    raise ParseError(f"unknown operator {op!r}", ts.lineno)
-
-
-def _parse_dsl_arg(ts, ops, var_names):
-    if ts.peek() != "(":
-        raise ParseError(
-            f"expected a parenthesized expression, found {ts.peek()!r}", ts.lineno)
-    ts.expect("(")
-    form = _parse_dsl_form(ts, ops, var_names)
-    ts.expect(")")
-    return form
-
-
 def parse_finite_file(text: str) -> FiniteProgram:
-    lines = list(_logical_lines(text))
-    if not lines:
-        raise ParseError("empty file")
-    lineno, header = lines[0]
-    tokens = _tokenize(header)
-    if tokens[0] != "lattice":
-        raise ParseError("expected a 'lattice ...' directive", lineno)
-    ops = _parse_descriptor(tokens[1:], lineno)
-
-    decls = []
-    names = set()
-    var_order = []
-    for lineno, body in lines[1:]:
-        tokens = _tokenize(body)
-        if tokens[0] != "var":
-            raise ParseError(f"expected 'var', found {tokens[0]!r}", lineno)
-        if len(tokens) < 4 or tokens[2] != "=":
-            raise ParseError("expected 'var NAME = EXPR'", lineno)
-        name = tokens[1]
-        if not _is_name(name):
-            raise ParseError(f"bad variable name {name!r}", lineno)
-        if name in names:
-            raise ParseError(f"duplicate variable {name!r}", lineno)
-        names.add(name)
-        var_order.append(name)
-        decls.append((lineno, name, tokens[3:]))
-    if not var_order:
-        raise ParseError("no variables")
-
-    exprs = {}
-    for lineno, name, tokens in decls:
-        ts = _Tokens(tokens, lineno)
-        expr = _parse_dsl_form(ts, ops, names)
-        if not ts.done():
-            raise ParseError(f"trailing tokens after expression: {ts.peek()!r}",
-                             lineno)
-        exprs[name] = expr
-    rhs = {}
-    for name, expr in exprs.items():
-        try:
-            rhs[name] = compile_rhs_dsl(expr, ops)
-        except LatticeError as exc:
-            raise ParseError(str(exc)) from None
+    ops, var_order, exprs, _, _ = _parse_file(text, _FINITE)
+    rhs = {name: compile_rhs_dsl(expr, ops) for name, expr in exprs.items()}
     system = EquationSystem(rhs, all_vars=var_order)
     return FiniteProgram(ops, var_order, exprs, system)
 
 
-def _render_dsl(expr, ops):
-    tag = expr[0]
-    if tag == "get":
-        return f"get {expr[1]}"
-    if tag == "lit":
-        return f"lit {ops.format(expr[1])}"
-    arg = lambda e: "(" + _render_dsl(e, ops) + ")"
-    if tag in ("join", "meet"):
-        return f"{tag} {arg(expr[1])} {arg(expr[2])}"
-    if tag == "inc":
-        return f"inc {arg(expr[1])}"
-    cmp_op, lhs, rhs = expr[1]
-    return (f"ite ({cmp_op} {arg(lhs)} {arg(rhs)}) "
-            f"{arg(expr[2])} {arg(expr[3])}")
-
-
-def _lattice_directive(ops):
-    d = ops.descriptor
-    if isinstance(d, Chain):
-        return f"chain {d.size}"
-    if isinstance(d, Powerset):
-        return "powerset " + " ".join(d.atoms)
-    if isinstance(d, NatInf):
-        return "natinf"
-    return "interval"
-
-
 def format_finite_file(prog: FiniteProgram) -> str:
     lines = ["lattice " + _lattice_directive(prog.ops)]
-    for name in prog.var_order:
-        lines.append(f"var {name} = " + _render_dsl(prog.exprs[name], prog.ops))
+    lines += [f"var {name} = {_render(prog.exprs[name], prog.ops)}"
+              for name in prog.var_order]
     return "\n".join(lines) + "\n"
 
 
 # --- scheme files ----------------------------------------------------------------
 
-def _parse_scheme_form(ts, ops, points, builtins):
-    def get_builtin(name):
-        if name not in builtins:
-            try:
-                builtins[name] = resolve_builtin(name, ops)
-            except (SchemeError, LatticeError) as exc:
-                raise ParseError(str(exc), ts.lineno) from None
-        return builtins[name]
-
-    op = ts.take("an operator")
-    if op == "ctx":
-        return CTX
-    if op == "lit":
-        return Const(_parse_value(ts, ops))
-    if op in ("join", "meet"):
-        fn = get_builtin(op)
-        return Apply(op, (_parse_scheme_arg(ts, ops, points, builtins),
-                          _parse_scheme_arg(ts, ops, points, builtins)))
-    if op == "apply":
-        name = ts.take("a builtin name")
-        fn = get_builtin(name)
-        args = tuple(_parse_scheme_arg(ts, ops, points, builtins)
-                     for _ in range(fn.arity))
-        return Apply(name, args)
-    if op == "cell":
-        point = ts.take("a point name")
-        if point not in points:
-            raise ParseError(f"unknown point {point!r}", ts.lineno)
-        return Cell(point, _parse_scheme_arg(ts, ops, points, builtins))
-    raise ParseError(f"unknown operator {op!r}", ts.lineno)
-
-
-def _parse_scheme_arg(ts, ops, points, builtins):
-    tok = ts.peek()
-    if tok == "(":
-        ts.expect("(")
-        form = _parse_scheme_form(ts, ops, points, builtins)
-        ts.expect(")")
-        return form
-    if tok == "ctx":
-        ts.take()
-        return CTX
-    raise ParseError(
-        f"expected a parenthesized expression or 'ctx', found {tok!r}", ts.lineno)
-
-
 def parse_scheme_file(text: str) -> Scheme:
-    lines = list(_logical_lines(text))
-    if not lines:
-        raise ParseError("empty file")
-    lineno, header = lines[0]
-    tokens = _tokenize(header)
-    if tokens[0] != "scheme":
-        raise ParseError("expected a 'scheme ...' directive", lineno)
-    ops = _parse_descriptor(tokens[1:], lineno)
-
-    point_order = []
-    point_set = set()
-    decls = []
-    start_tokens = None
-    for lineno, body in lines[1:]:
-        tokens = _tokenize(body)
-        if tokens[0] == "start":
-            if start_tokens is not None:
-                raise ParseError("duplicate start directive", lineno)
-            start_tokens = (lineno, tokens[1:])
-            continue
-        if tokens[0] != "point":
-            raise ParseError(f"expected 'point' or 'start', found {tokens[0]!r}",
-                             lineno)
-        if len(tokens) < 4 or tokens[2] != "=":
-            raise ParseError("expected 'point NAME = EXPR'", lineno)
-        name = tokens[1]
-        if not _is_name(name):
-            raise ParseError(f"bad point name {name!r}", lineno)
-        if name in point_set:
-            raise ParseError(f"duplicate point {name!r}", lineno)
-        point_set.add(name)
-        point_order.append(name)
-        decls.append((lineno, name, tokens[3:]))
-    if not point_order:
-        raise ParseError("no points")
-    if start_tokens is None:
-        raise ParseError("missing start")
-
-    builtins = {}
-    rhs = {}
-    for lineno, name, tokens in decls:
-        ts = _Tokens(tokens, lineno)
-        expr = _parse_scheme_form(ts, ops, point_set, builtins)
-        if not ts.done():
-            raise ParseError(f"trailing tokens after expression: {ts.peek()!r}",
-                             lineno)
-        rhs[name] = expr
-
-    lineno, tokens = start_tokens
+    ops, point_order, rhs, builtins, (lineno, tokens) = _parse_file(text, _SCHEME)
     if len(tokens) != 2:
         raise ParseError("expected 'start POINT VALUE'", lineno)
-    if tokens[0] not in point_set:
+    if tokens[0] not in rhs:
         raise ParseError(f"unknown point {tokens[0]!r}", lineno)
-    try:
-        start_value = ops.parse(tokens[1])
-    except LatticeError as exc:
-        raise ParseError(str(exc), lineno) from None
-
-    scheme = Scheme(ops, tuple(point_order), rhs, builtins,
-                    (tokens[0], start_value))
-    try:
-        scheme.validate()
-    except SchemeError as exc:
-        raise ParseError(str(exc)) from None
-    return scheme
-
-
-def _render_scheme_expr(expr, ops):
-    if isinstance(expr, Ctx):
-        return "ctx"
-    if isinstance(expr, Const):
-        return f"lit {ops.format(expr.value)}"
-
-    def arg(e):
-        if isinstance(e, Ctx):
-            return "ctx"
-        return "(" + _render_scheme_expr(e, ops) + ")"
-
-    if isinstance(expr, Apply):
-        rendered = " ".join(arg(a) for a in expr.args)
-        if expr.fn in ("join", "meet"):
-            return f"{expr.fn} {rendered}"
-        return f"apply {expr.fn} {rendered}"
-    return f"cell {expr.point} {arg(expr.arg)}"
+    # The parser has checked all that Scheme.validate checks.
+    start = (tokens[0], _parse_value(ops, tokens[1], lineno))
+    return Scheme(ops, tuple(point_order), rhs, builtins, start)
 
 
 def format_scheme_file(scheme: Scheme) -> str:
     ops = scheme.ops
-    lines = ["scheme " + _lattice_directive(ops)]
-    lines.append(f"start {scheme.start[0]} {ops.format(scheme.start[1])}")
-    for point in scheme.points:
-        lines.append(f"point {point} = " + _render_scheme_expr(scheme.rhs[point], ops))
+    lines = ["scheme " + _lattice_directive(ops),
+             f"start {scheme.start[0]} {ops.format(scheme.start[1])}"]
+    lines += [f"point {point} = {_render(scheme.rhs[point], ops)}"
+              for point in scheme.points]
     return "\n".join(lines) + "\n"
 
 
@@ -710,7 +628,8 @@ def _build_parser():
                        help="evaluation fuel for the warrowing baseline")
         p.add_argument("--start", default=None,
                        help="start override: VAR (finite) or POINT:VALUE (scheme)")
-        p.add_argument("--var-budget", type=int, default=DEFAULT_VAR_BUDGET)
+        p.add_argument("--var-budget", type=_positive_int,
+                       default=DEFAULT_VAR_BUDGET)
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("solve", help="run one solver and print the assignment")

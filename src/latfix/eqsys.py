@@ -9,12 +9,12 @@ is well defined.  It takes one of two forms, and `eval_tree` runs both:
            computation.  Continuations are built on demand (the value space
            may be infinite) and must be deterministic.  Hand-built trees are
            accepted wherever a right-hand side is.
-  program  what the expression languages compile to, once per right-hand
-           side: a `Program` holding one flat tuple of small-int opcodes
-           interleaved with their operands, run by one loop over an explicit
-           value stack.  Its query sequence is static data, so evaluation
-           allocates no nodes or closures.  A right-hand side that queries
-           nothing compiles to an `Answer`.
+  program  what `compile_rhs_dsl` makes of an expression of either input
+           language, once per right-hand side: a `Program` holding one flat
+           tuple of small-int opcodes interleaved with their operands, run
+           by one loop over an explicit value stack.  Its query sequence is
+           static data, so evaluation allocates no nodes or closures.  A
+           right-hand side that reads nothing compiles to an `Answer`.
 
 Instructions (operands in brackets; "pop b, a" pops the top first):
 
@@ -269,29 +269,32 @@ def is_closed(assignment: Assignment, system: EquationSystem) -> bool:
     return True
 
 
-# --- finite-system expression DSL ------------------------------------------
+# --- the expression IR -------------------------------------------------------
 #
-# Expressions are tag-first tuples as produced by the file parser:
-#   ("get", var) ("lit", value) ("join", e, e) ("meet", e, e) ("inc", e)
-#   ("ite", (cmp, e, e), e, e)        with cmp in {"eq", "leq"}
+# Both input languages parse to tag-first tuples:
+#   ("lit", value) ("join", e, e) ("meet", e, e)        in both languages
+#   ("get", var) ("inc", e) ("ite", (cmp, e, e), e, e)  in finite systems,
+#                                      with cmp in {"eq", "leq"}
+#   ("ctx",) ("cell", point, e) ("apply", builtin_name, e, ...)  in schemes
 
-DslExpr = tuple
+def compile_rhs_dsl(expr: tuple, ops: LatticeOps,
+                    builtins: Mapping | None = None) -> Program | Answer:
+    """Compile an expression into a program, or an answer if it reads nothing.
 
-def compile_rhs_dsl(expr: DslExpr, ops: LatticeOps) -> Program | Answer:
-    """Compile a DSL expression into a program, or an answer if it reads nothing.
-
-    Every `get` becomes exactly one GET; operands are computed left to right,
-    and `ite` computes both comparison operands, then runs the selected
-    branch only.  Operations on literal operands are done here, once, so an
-    expression without `get` compiles to one literal.
+    `builtins` maps the names `apply` nodes use to their `BuiltinFn`s.  Every
+    `get` or `cell` becomes exactly one query; operands are computed left to
+    right, a cell computes its argument before it queries, and `ite` computes
+    both comparison operands, then runs the selected branch only.  Operations
+    on literal operands, builtins included, are done here, once, so an
+    expression that reads no variable and no context compiles to one literal.
     """
     code = []
-    if _emit_dsl(expr, code, ops):
+    if _emit(expr, code, ops, builtins):
         return Answer(code[1])
     return Program(tuple(code), ops)
 
 
-def _emit_dsl(e: DslExpr, code: list, ops: LatticeOps) -> bool:
+def _emit(e: tuple, code: list, ops: LatticeOps, builtins) -> bool:
     """Append the code of `e`; True if that code is a single LIT."""
     tag = e[0]
     if tag == "get":
@@ -301,35 +304,52 @@ def _emit_dsl(e: DslExpr, code: list, ops: LatticeOps) -> bool:
         code += (OP_LIT, e[1])
         return True
     if tag == "join" or tag == "meet":
-        literal = _emit_dsl(e[1], code, ops)
-        if _emit_dsl(e[2], code, ops) and literal:
+        literal = _emit(e[1], code, ops, builtins)
+        if _emit(e[2], code, ops, builtins) and literal:
             a, b = code[-3], code[-1]
             del code[-4:]
             code += (OP_LIT, ops.join(a, b) if tag == "join" else ops.meet(a, b))
             return True
         code.append(OP_JOIN if tag == "join" else OP_MEET)
         return False
-    if tag == "inc":
-        if _emit_dsl(e[1], code, ops):
-            code[-1] = ops.succ(code[-1])
-            return True
-        code.append(OP_INC)
-        return False
     if tag == "ite":
         cmp_op, lhs, rhs = e[1]
-        literal = _emit_dsl(lhs, code, ops)
-        if _emit_dsl(rhs, code, ops) and literal:
+        literal = _emit(lhs, code, ops, builtins)
+        if _emit(rhs, code, ops, builtins) and literal:
             a, b = code[-3], code[-1]
             del code[-4:]
             taken = ops.eq(a, b) if cmp_op == "eq" else ops.leq(a, b)
-            return _emit_dsl(e[2] if taken else e[3], code, ops)
+            return _emit(e[2] if taken else e[3], code, ops, builtins)
         code += (OP_EQ if cmp_op == "eq" else OP_LEQ, None)
         jump_else = len(code) - 1
-        _emit_dsl(e[2], code, ops)
+        _emit(e[2], code, ops, builtins)
         code += (OP_JMP, None)
         jump_end = len(code) - 1
         code[jump_else] = len(code)
-        _emit_dsl(e[3], code, ops)
+        _emit(e[3], code, ops, builtins)
         code[jump_end] = len(code)
         return False
-    raise ValueError(f"bad DSL expression tag {tag!r}")
+    if tag == "ctx":
+        code.append(OP_CTX)
+        return False
+    if tag == "cell":
+        _emit(e[2], code, ops, builtins)
+        code += (OP_CELL, e[1])
+        return False
+    # `inc` and builtins: done here if every operand is a literal.
+    if tag == "inc":
+        fn, args, instr = ops.succ, e[1:], (OP_INC,)
+    elif tag == "apply":
+        fn, args = builtins[e[1]].fn, e[2:]
+        instr = (OP_CALL, fn, len(args))
+    else:
+        raise ValueError(f"bad expression tag {tag!r}")
+    literal = True
+    for a in args:     # a comprehension here would make every local a cell
+        literal = _emit(a, code, ops, builtins) and literal
+    if literal:
+        start = len(code) - 2 * len(args)
+        code[start:] = (OP_LIT, fn(*code[start + 1::2]))
+        return True
+    code += instr
+    return False

@@ -1,11 +1,13 @@
 """Interprocedural equation schemes with partial tabulation.
 
 A scheme gives every program point one context-parameterized right-hand-side
-expression.  Cells induce indirect addressing: the value of the inner
-expression selects which (point, context) variable is read, so a scheme
-denotes a family of equations over the possibly infinite variable space
-(point, context-value).  Instantiation is lazy; the solvers materialize
-variables on demand.
+expression, in the tag-tuple IR of `latfix.eqsys`: `("lit", v)`, `("ctx",)`,
+`("join", a, b)`, `("meet", a, b)`, `("apply", builtin, *args)` and
+`("cell", point, a)`.  Cells induce indirect addressing: the value of the
+inner expression selects which (point, context) variable is read, so a
+scheme denotes a family of equations over the possibly infinite variable
+space (point, context-value).  Instantiation is lazy; the solvers
+materialize variables on demand.
 
 Stratification is the termination handle: if levels can be assigned so that
 same-level cells pass the context through unchanged and all other cells go
@@ -19,48 +21,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .eqsys import (
-    OP_CALL,
-    OP_CELL,
-    OP_CTX,
-    OP_LIT,
     Answer,
     EquationSystem,
     Program,
     UnknownVariableError,
+    compile_rhs_dsl,
 )
-from .lattice import LatticeOps, Value
+from .lattice import LatticeOps
 
 
 class SchemeError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Const:
-    value: Value
-
-
-@dataclass(frozen=True)
-class Ctx:
-    """The current calling context."""
-
-
-CTX = Ctx()
-
-
-@dataclass(frozen=True)
-class Apply:
-    fn: str
-    args: tuple
-
-
-@dataclass(frozen=True)
-class Cell:
-    point: str
-    arg: "Expr"
-
-
-Expr = Const | Ctx | Apply | Cell
 
 
 @dataclass(frozen=True)
@@ -104,8 +75,8 @@ def resolve_builtin(name: str, ops: LatticeOps) -> BuiltinFn:
 class Scheme:
     ops: LatticeOps
     points: tuple
-    rhs: dict
-    builtins: dict
+    rhs: dict          # point -> expression
+    builtins: dict     # name -> BuiltinFn, for the `apply` nodes
     start: tuple
 
     def validate(self):
@@ -123,61 +94,38 @@ class Scheme:
         return self
 
     def _validate_expr(self, expr, points):
-        if isinstance(expr, (Const, Ctx)):
+        tag, args, arity = expr[0], expr[1:], None
+        if tag == "lit":
             return
-        if isinstance(expr, Apply):
-            fn = self.builtins.get(expr.fn)
+        if tag == "apply":
+            fn = self.builtins.get(expr[1])
             if fn is None:
-                raise SchemeError(f"unknown builtin {expr.fn!r}")
-            if fn.arity != len(expr.args):
-                raise SchemeError(
-                    f"builtin {expr.fn!r} takes {fn.arity} arguments, "
-                    f"got {len(expr.args)}")
-            for a in expr.args:
-                self._validate_expr(a, points)
-            return
-        if isinstance(expr, Cell):
-            if expr.point not in points:
-                raise SchemeError(f"unknown point {expr.point!r}")
-            self._validate_expr(expr.arg, points)
-            return
-        raise SchemeError(f"bad expression node {expr!r}")
-
-
-def _emit_expr(e: Expr, builtins: dict, code: list):
-    """Append the code of `e`, for any context a program binds.
-
-    Arguments are computed left to right, and a cell computes its argument
-    before it queries.
-    """
-    if isinstance(e, Const):
-        code.extend((OP_LIT, e.value))
-    elif isinstance(e, Ctx):
-        code.append(OP_CTX)
-    elif isinstance(e, Apply):
-        for a in e.args:
-            _emit_expr(a, builtins, code)
-        code.extend((OP_CALL, builtins[e.fn].fn, len(e.args)))
-    else:
-        _emit_expr(e.arg, builtins, code)
-        code.extend((OP_CELL, e.point))
+                raise SchemeError(f"unknown builtin {expr[1]!r}")
+            tag, args, arity = expr[1], expr[2:], fn.arity
+        elif tag == "cell":
+            if expr[1] not in points:
+                raise SchemeError(f"unknown point {expr[1]!r}")
+            args = expr[2:]
+        elif tag == "join" or tag == "meet":
+            arity = 2
+        elif tag != "ctx":
+            raise SchemeError(f"bad expression node {expr!r}")
+        if arity is not None and arity != len(args):
+            raise SchemeError(f"builtin {tag!r} takes {arity} arguments, got {len(args)}")
+        for a in args:
+            self._validate_expr(a, points)
 
 
 def instantiate_system(scheme: Scheme) -> EquationSystem:
     """Lazy equation system over (point, context) variables.
 
     Each point's expression is compiled once; the right-hand side of
-    (point, ctx) is that program bound to ctx, and a constant is an answer.
+    (point, ctx) is that program bound to ctx, and an expression that reads
+    neither the context nor a cell is an answer.
     """
     ops = scheme.ops
-    compiled = {}
-    for point, expr in scheme.rhs.items():
-        if isinstance(expr, Const):
-            compiled[point] = Answer(expr.value)
-        else:
-            code = []
-            _emit_expr(expr, scheme.builtins, code)
-            compiled[point] = tuple(code)
+    compiled = {point: compile_rhs_dsl(expr, ops, scheme.builtins)
+                for point, expr in scheme.rhs.items()}
 
     def rhs(var):
         point, ctx = var
@@ -185,7 +133,7 @@ def instantiate_system(scheme: Scheme) -> EquationSystem:
             entry = compiled[point]
         except KeyError:
             raise UnknownVariableError(var) from None
-        return entry if entry.__class__ is Answer else Program(entry, ops, ctx)
+        return entry if entry.__class__ is Answer else Program(entry.code, ops, ctx)
 
     return EquationSystem(rhs)
 
@@ -201,18 +149,12 @@ class CounterexampleCycle:
 
 def _cell_edges(point, expr):
     """(caller, callee, strict) triples for all cells at any nesting depth."""
-    out = []
-
-    def walk(e):
-        if isinstance(e, Apply):
-            for a in e.args:
-                walk(a)
-        elif isinstance(e, Cell):
-            out.append((point, e.point, not isinstance(e.arg, Ctx)))
-            walk(e.arg)
-
-    walk(expr)
-    return out
+    if expr[0] == "cell":
+        yield (point, expr[1], expr[2] != ("ctx",))
+    if expr[0] != "lit":
+        for a in expr[1:]:
+            if isinstance(a, tuple):
+                yield from _cell_edges(point, a)
 
 
 def _tarjan_sccs(nodes, succs):

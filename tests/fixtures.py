@@ -4,9 +4,6 @@ import random
 
 from latfix import (
     Answer,
-    Apply,
-    Const,
-    Ctx,
     EquationSystem,
     Query,
     SchemeError,
@@ -116,14 +113,44 @@ def eval_tree_traced(tree, lookup):
     return eval_tree(tree, record), trace
 
 
+# Nothing bounds a solver that stops terminating while it stays in finitely
+# many variables; a termination test runs its solvers on `capped` systems so
+# such a regression fails instead of hanging.
+
+RHS_CALL_CAP = 10**5
+
+
+class EvaluationCapExceeded(BaseException):
+    """A solver asked for more right-hand sides than a termination test allows.
+
+    Not an `Exception`, so Hypothesis fails the property at once with the
+    seed that reproduces it; shrinking a runaway example would cost another
+    full cap of evaluations per step and take minutes.
+    """
+
+
+def capped(system, cap=RHS_CALL_CAP):
+    """`system`, failing once its right-hand sides are requested `cap` times."""
+    calls = 0
+
+    def rhs(var):
+        nonlocal calls
+        calls += 1
+        if calls > cap:
+            raise EvaluationCapExceeded(f"more than {cap} right-hand-side evaluations")
+        return system.rhs(var)
+
+    return EquationSystem(rhs, all_vars=system.all_vars)
+
+
 # --- reference compilers ------------------------------------------------------
 #
-# The continuation-passing translations the expression languages used before
+# The continuation-passing translation the expression languages used before
 # they compiled to flat programs.  Each evaluation walks freshly built Query
 # nodes; the compiled programs must agree with them on value and query order.
 
-def reference_compile_dsl(expr, ops):
-    """DSL expression to a computation tree, built on demand."""
+def reference_compile_dsl(expr, ops, builtins=None, ctx=None):
+    """Expression to a computation tree at context `ctx`, built on demand."""
 
     def build(e, k):
         tag = e[0]
@@ -148,52 +175,49 @@ def reference_compile_dsl(expr, ops):
                 return build(e[2], k) if taken else build(e[3], k)
 
             return build(lhs, lambda a: build(rhs, lambda b: decide(a, b)))
-        raise ValueError(f"bad DSL expression tag {tag!r}")
+        if tag == "ctx":
+            return k(ctx)
+        if tag == "cell":
+            return build(e[2], lambda d: Query((e[1], d), k))
+        if tag == "apply":
+            fn, args = builtins[e[1]], e[2:]
+
+            def collect(i, vals):
+                if i == len(args):
+                    return k(fn.fn(*vals))
+                return build(args[i], lambda v: collect(i + 1, vals + [v]))
+
+            return collect(0, [])
+        raise ValueError(f"bad expression tag {tag!r}")
 
     return build(expr, Answer)
 
 
-def sem_expr(expr, ctx, lookup, builtins):
-    """Evaluate a scheme expression at a context against a variable lookup."""
+def sem_expr(expr, ctx, lookup, scheme):
+    """Evaluate an expression of `scheme` at a context against a variable lookup."""
     lookup = as_lookup(lookup)
+    ops = scheme.ops
 
     def ev(e):
-        if isinstance(e, Const):
-            return e.value
-        if isinstance(e, Ctx):
+        tag = e[0]
+        if tag == "lit":
+            return e[1]
+        if tag == "ctx":
             return ctx
-        if isinstance(e, Apply):
+        if tag == "join":
+            return ops.join(ev(e[1]), ev(e[2]))
+        if tag == "meet":
+            return ops.meet(ev(e[1]), ev(e[2]))
+        if tag == "apply":
             try:
-                fn = builtins[e.fn]
+                fn = scheme.builtins[e[1]]
             except KeyError:
-                raise SchemeError(f"unknown builtin {e.fn!r}") from None
-            return fn.fn(*[ev(a) for a in e.args])
-        # Cell: the inner expression's value picks the variable to read.
-        return lookup((e.point, ev(e.arg)))
+                raise SchemeError(f"unknown builtin {e[1]!r}") from None
+            return fn.fn(*[ev(a) for a in e[2:]])
+        # cell: the inner expression's value picks the variable to read.
+        return lookup((e[1], ev(e[2])))
 
     return ev(expr)
-
-
-def reference_expr_tree(expr, ctx, scheme):
-    """Computation tree of one (point, context) right-hand side of a scheme."""
-
-    def build(e, k):
-        if isinstance(e, Const):
-            return k(e.value)
-        if isinstance(e, Ctx):
-            return k(ctx)
-        if isinstance(e, Apply):
-            fn = scheme.builtins[e.fn]
-
-            def args(i, vals):
-                if i == len(e.args):
-                    return k(fn.fn(*vals))
-                return build(e.args[i], lambda v: args(i + 1, vals + [v]))
-
-            return args(0, [])
-        return build(e.arg, lambda d: Query((e.point, d), k))
-
-    return build(expr, Answer)
 
 
 def reference_instantiate(scheme):
@@ -205,7 +229,7 @@ def reference_instantiate(scheme):
             expr = scheme.rhs[point]
         except KeyError:
             raise UnknownVariableError(var) from None
-        return reference_expr_tree(expr, ctx, scheme)
+        return reference_compile_dsl(expr, scheme.ops, scheme.builtins, ctx)
 
     return EquationSystem(rhs)
 

@@ -90,6 +90,57 @@ def test_parse_scheme_errors():
         parse_scheme_file("scheme natinf\nstart w 0\npoint u = ctx\n")
 
 
+@pytest.mark.parametrize("body, message", [
+    ("get u", "unknown operator 'get'"),
+    ("inc ctx", "unknown operator 'inc'"),
+    ("join ctx (inc (cell u ctx))", "unknown operator 'inc'"),
+    ("ite (eq ctx ctx) ctx ctx", "unknown operator 'ite'"),
+])
+def test_finite_forms_are_rejected_in_schemes(body, message):
+    with pytest.raises(ParseError, match=f"^line 3: {message}$"):
+        parse_scheme_file(f"scheme natinf\nstart u 0\npoint u = {body}\n")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("ctx", "unknown operator 'ctx'"),
+    ("join (ctx) (get y)", "unknown operator 'ctx'"),
+    ("join ctx (get y)", "expected a parenthesized expression, found 'ctx'"),
+    ("cell y (lit 0)", "unknown operator 'cell'"),
+    ("apply inc (get y)", "unknown operator 'apply'"),
+])
+def test_scheme_forms_are_rejected_in_finite_files(body, message):
+    with pytest.raises(ParseError, match=f"^line 3: {message}$"):
+        parse_finite_file(f"lattice natinf\nvar x = lit 0\nvar y = {body}\n")
+
+
+DEEP = 600
+
+
+@pytest.mark.parametrize("name, text, argv, line", [
+    ("deep.lat", "lattice natinf\nvar y = " + "inc (" * DEEP + "get y" + ")" * DEEP,
+     ["solve", "tsmp"], 2),
+    ("deep.sch", "scheme natinf\nstart u 0\npoint u = "
+     + "apply inc (" * DEEP + "ctx" + ")" * DEEP, ["check-stratified"], 3),
+    ("deep.sch", "scheme natinf\nstart u 0\npoint u = "
+     + "join ctx (" * DEEP + "cell u ctx" + ")" * DEEP, ["solve", "tstp"], 3),
+], ids=["finite-solve", "scheme-check-stratified", "scheme-solve"])
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys, name, text, argv, line):
+    path = write(tmp_path, name, text + "\n")
+    code, out = run_cli(*argv, path)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert capsys.readouterr().err == f"error: line {line}: expression nested too deeply\n"
+
+
+def test_moderate_nesting_still_parses_and_solves(tmp_path):
+    depth = 200
+    path = write(tmp_path, "nested.sch", "scheme natinf\nstart u 0\npoint u = "
+                 + "apply inc (" * depth + "ctx" + ")" * depth + "\n")
+    code, out = run_cli("solve", "tsmp", path)
+    assert code == EXIT_OK
+    assert f"u:0 = {depth}" in out
+
+
 def test_roundtrip_finite():
     prog = parse_finite_file(EX5_NATINF)
     text = format_finite_file(prog)
@@ -166,6 +217,15 @@ def test_solve_fuel_below_one_is_a_usage_error(capsys, fuel):
     assert code == EXIT_USAGE
     assert out == ""
     assert "error: argument --fuel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_solve_var_budget_below_one_is_a_usage_error(capsys, budget):
+    path = str(SAMPLES / "nested_calls_natinf.sch")
+    code, out = run_cli("solve", "tsmp", path, "--var-budget", budget)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error: argument --var-budget" in capsys.readouterr().err
 
 
 def test_solve_non_utf8_file_is_a_usage_error(tmp_path, capsys):

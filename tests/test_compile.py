@@ -1,4 +1,5 @@
-"""Compiled programs against the reference tree compilers they replaced."""
+"""Compiled programs against the reference tree compilers they replaced, and
+the one expression parser and renderer against the IR they share."""
 
 import io
 import random
@@ -10,11 +11,7 @@ import pytest
 import latfix.cli
 from latfix import (
     Answer,
-    Apply,
     BuiltinFn,
-    CTX,
-    Cell,
-    Const,
     Program,
     Scheme,
     compile_rhs_dsl,
@@ -26,14 +23,20 @@ from latfix import (
     tstp,
     warrow_solve,
 )
-from latfix.eqsys import OP_GET, OP_JOIN, OP_LIT
+from latfix.cli import (
+    FiniteProgram,
+    format_finite_file,
+    format_scheme_file,
+    parse_finite_file,
+    parse_scheme_file,
+)
+from latfix.eqsys import OP_CELL, OP_CTX, OP_GET, OP_JOIN, OP_LIT
 from latfix.lattice import Chain, Interval, NatInf, Powerset, make_domain
 
 from fixtures import (
     eval_tree_traced,
     random_corpus,
     reference_compile_dsl,
-    reference_expr_tree,
     reference_instantiate,
     reference_system,
 )
@@ -89,46 +92,60 @@ def test_literal_operations_fold_at_compile_time():
     nat = DOMAINS[2]
     assert compile_rhs_dsl(("lit", 3), nat) == Answer(3)
     assert compile_rhs_dsl(("inc", ("join", ("lit", 3), ("lit", 5))), nat) == Answer(6)
+    assert compile_rhs_dsl(("apply", "inc", ("lit", 3)), nat,
+                           {"inc": resolve_builtin("inc", nat)}) == Answer(4)
     expr = ("join", ("ite", ("eq", ("lit", 1), ("lit", 1)), ("get", "y"), ("get", "z")),
             ("meet", ("lit", 2), ("lit", 3)))
     program = compile_rhs_dsl(expr, nat)
     assert isinstance(program, Program)
     assert program.code == (OP_GET, "y", OP_LIT, 2, OP_JOIN)
-    scheme = Scheme(nat, ("u",), {"u": Const(5)}, {}, ("u", 0))
+    scheme = Scheme(nat, ("u",), {"u": ("lit", 5)}, {}, ("u", 0))
     assert instantiate_system(scheme).rhs(("u", 1)) == Answer(5)
+    scheme = parse_scheme_file("scheme natinf\nstart u 0\n"
+                               "point u = join (cell u ctx) (apply dec (lit 3))\n")
+    program = instantiate_system(scheme).rhs(("u", 1))
+    assert program.code == (OP_CTX, OP_CELL, "u", OP_LIT, 2, OP_JOIN)
 
 
 SCHEME_BUILTINS = {
-    "natinf": (["inc", "dec", "id", "add_const:2", "meet_const:4", "join_const:1"],
-               ["join", "meet"]),
-    "interval": (["inc", "dec", "id", "add_const:-1", "meet_const:[0,6]",
-                  "join_const:[2,3]"], ["join", "meet"]),
+    "natinf": ["inc", "dec", "id", "add_const:2", "meet_const:4", "join_const:1"],
+    "interval": ["inc", "dec", "id", "add_const:-1", "meet_const:[0,6]",
+                 "join_const:[2,3]"],
 }
 
 
-def random_scheme_expr(rng, ops, points, unary, binary, depth):
-    """Constants, ctx, unary and binary builtins, and nested cells."""
+def random_scheme_expr(rng, ops, points, unary, depth):
+    """Constants, ctx, unary builtins, join/meet, and nested cells."""
     if depth <= 0 or rng.random() < 0.25:
-        return CTX if rng.random() < 0.6 else Const(ops.sample(rng))
-    sub = lambda: random_scheme_expr(rng, ops, points, unary, binary, depth - 1)
+        return ("ctx",) if rng.random() < 0.6 else ("lit", ops.sample(rng))
+    sub = lambda: random_scheme_expr(rng, ops, points, unary, depth - 1)
     form = rng.random()
     if form < 0.4:
-        return Cell(rng.choice(points), sub())
+        return ("cell", rng.choice(points), sub())
     if form < 0.7:
-        return Apply(rng.choice(unary), (sub(),))
-    return Apply(rng.choice(binary), (sub(), sub()))
+        return ("apply", rng.choice(unary), sub())
+    return (rng.choice(["join", "meet"]), sub(), sub())
+
+
+def reads_nothing(expr):
+    """Neither the context nor a cell occurs in the scheme expression."""
+    if expr[0] in ("ctx", "cell"):
+        return False
+    if expr[0] == "lit":
+        return True
+    return all(reads_nothing(a) for a in expr[1:] if isinstance(a, tuple))
 
 
 @pytest.mark.parametrize("kind", ["natinf", "interval"])
 def test_scheme_programs_match_reference_trees(kind):
     rng = random.Random(12)
     ops = make_domain(NatInf() if kind == "natinf" else Interval())
-    unary, binary = SCHEME_BUILTINS[kind]
-    builtins = {name: resolve_builtin(name, ops) for name in unary + binary}
+    unary = SCHEME_BUILTINS[kind]
+    builtins = {name: resolve_builtin(name, ops) for name in unary}
     points = ("u", "v", "w")
     for _ in range(150):
-        rhs = {p: random_scheme_expr(rng, ops, points, unary, binary,
-                                     rng.randint(0, 4)) for p in points}
+        rhs = {p: random_scheme_expr(rng, ops, points, unary, rng.randint(0, 4))
+               for p in points}
         scheme = Scheme(ops, points, rhs, builtins, ("u", ops.bot)).validate()
         system = instantiate_system(scheme)
         values = {}
@@ -142,22 +159,42 @@ def test_scheme_programs_match_reference_trees(kind):
             for _ in range(3):
                 ctx = ops.sample(rng)
                 compiled = system.rhs((point, ctx))
-                reference = reference_expr_tree(rhs[point], ctx, scheme)
-                assert isinstance(compiled, Answer) == isinstance(rhs[point], Const)
+                reference = reference_compile_dsl(rhs[point], ops, builtins, ctx)
+                assert isinstance(compiled, Answer) == reads_nothing(rhs[point])
                 agree(compiled, reference, lookup)
+
+
+def test_random_expressions_survive_format_then_parse():
+    rng = random.Random(13)
+    names = ["y1", "y2", "y3"]
+    for ops in DOMAINS:
+        for _ in range(100):
+            exprs = {v: random_dsl(rng, ops, names, rng.randint(0, 4)) for v in names}
+            text = format_finite_file(FiniteProgram(ops, names, exprs, None))
+            assert parse_finite_file(text).exprs == exprs
+    points = ("u", "v", "w")
+    for kind, unary in SCHEME_BUILTINS.items():
+        ops = make_domain(NatInf() if kind == "natinf" else Interval())
+        builtins = {name: resolve_builtin(name, ops) for name in unary}
+        for _ in range(150):
+            rhs = {p: random_scheme_expr(rng, ops, points, unary, rng.randint(0, 4))
+                   for p in points}
+            scheme = Scheme(ops, points, rhs, builtins, ("v", ops.top)).validate()
+            again = parse_scheme_file(format_scheme_file(scheme))
+            assert (again.rhs, again.points, again.start) == (rhs, points, scheme.start)
 
 
 def test_builtins_of_any_arity_take_arguments_in_order():
     nat = DOMAINS[2]
     builtins = {"seven": BuiltinFn("seven", 0, lambda: 7),
-                "digits": BuiltinFn("digits", 3, lambda a, b, c: 100 * a + 10 * b + c),
-                "join": resolve_builtin("join", nat)}
-    expr = Apply("join", (Cell("u", Apply("seven", ())),
-                          Apply("digits", (CTX, Cell("u", CTX), Const(3)))))
+                "digits": BuiltinFn("digits", 3, lambda a, b, c: 100 * a + 10 * b + c)}
+    expr = ("join", ("cell", "u", ("apply", "seven")),
+            ("apply", "digits", ("ctx",), ("cell", "u", ("ctx",)), ("lit", 3)))
     scheme = Scheme(nat, ("u",), {"u": expr}, builtins, ("u", 0)).validate()
     lookup = {("u", 7): 1, ("u", 2): 5}
     compiled = instantiate_system(scheme).rhs(("u", 2))
-    assert agree(compiled, reference_expr_tree(expr, 2, scheme), lookup) == [
+    reference = reference_compile_dsl(expr, nat, builtins, 2)
+    assert agree(compiled, reference, lookup) == [
         ("u", 7), ("u", 2)]
     assert eval_tree(compiled, lookup) == 253
 
@@ -174,8 +211,9 @@ def test_lookups_are_called_from_eval_tree_itself():
     expr = ("join", ("ite", ("eq", ("get", "a"), ("lit", 0)),
                      ("inc", ("get", "b")), ("lit", 1)), ("get", "c"))
     eval_tree(compile_rhs_dsl(expr, nat), lookup)
-    scheme = Scheme(nat, ("u",), {"u": Cell("u", Apply("inc", (Cell("u", CTX),)))},
-                    {"inc": resolve_builtin("inc", nat)}, ("u", 0))
+    expr = ("cell", "u", ("apply", "inc", ("cell", "u", ("ctx",))))
+    scheme = Scheme(nat, ("u",), {"u": expr}, {"inc": resolve_builtin("inc", nat)},
+                    ("u", 0))
     eval_tree(instantiate_system(scheme).rhs(("u", 0)), lookup)
     assert len(callers) == 5
     assert set(callers) == {eval_tree.__code__}

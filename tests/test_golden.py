@@ -1,36 +1,41 @@
 """Golden pin: solver results and CLI output must not change under refactoring.
 
-The digests were taken before the demand-driven solvers were folded into one
-core.  A change that alters any assignment, `sigma0`, `Stats` field, status,
-CLI byte or exit code below fails here; a deliberate change of behaviour must
-say so and pin new digests.
+The corpus and CLI digests were taken before the demand-driven solvers were
+folded into one core; the scheme digest was taken before both input
+languages were parsed, rendered and compiled through one expression IR.  A
+change that alters any assignment, `sigma0`, `Stats` field, status, CLI
+byte, exit code, rendered scheme or stratification outcome below fails here;
+a deliberate change of behaviour must say so and pin new digests.
 """
 
 import dataclasses
 import hashlib
 import io
+import random
 from pathlib import Path
 
 import latfix.cli
-from latfix import tsmp, tsrr, tstp, warrow_solve
+from latfix import (VarBudgetExceeded, check_stratified, instantiate_system, tsmp,
+                    tsrr, tstp, warrow_solve)
 
-from fixtures import random_corpus
+from fixtures import capped, random_corpus
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 CORPUS_DIGEST = "a8a964aa6161abd5cdbff392ad5030120923c6eb7c21236a6f10b35f30a7b6f5"
 CLI_DIGEST = "a060de0b3afae0430158b63a7e250bfe089871630ec53cb3ce3e513fe773dc7f"
+SCHEME_DIGEST = "59a73816f23c114f1548dd0b3f9b3f2f59e46eec46eb7813348babf0777e436b"
 
 
-def _render(ops, values):
-    return ",".join(f"{v}={ops.format(values[v])}" for v in sorted(values, key=repr))
+def _render(ops, values, key=repr):
+    return ",".join(f"{v}={ops.format(values[v])}" for v in sorted(values, key=key))
 
 
-def _render_result(name, ops, result):
-    sigma0 = "-" if result.sigma0 is None else _render(ops, result.sigma0.values)
+def _render_result(name, ops, result, key=repr):
+    sigma0 = "-" if result.sigma0 is None else _render(ops, result.sigma0.values, key)
     stats = ",".join(f"{f.name}={getattr(result.stats, f.name)}"
                      for f in dataclasses.fields(result.stats))
-    return (f"{name}|{_render(ops, result.assignment.values)}|{sigma0}|{stats}"
+    return (f"{name}|{_render(ops, result.assignment.values, key)}|{sigma0}|{stats}"
             f"|{result.status.value}")
 
 
@@ -58,6 +63,85 @@ def cli_rendering():
     return "\n".join(lines)
 
 
+# Seeded scheme texts over natinf and interval: every builtin, `apply join`/
+# `apply meet`, bare and parenthesized `ctx`, literal-only subterms such as
+# `apply inc (lit 3)`, and cells with any argument, so both stratified schemes
+# and runaway context generation occur.
+SCHEME_DOMAINS = {
+    "natinf": (["0", "1", "3", "inf"],
+               ["id", "inc", "dec", "add_const:2", "meet_const:4", "join_const:1"]),
+    "interval": (["bot", "[0,0]", "[-2,3]", "[1,inf]"],
+                 ["id", "inc", "dec", "add_const:-1", "meet_const:[0,6]",
+                  "join_const:[2,3]"]),
+}
+
+
+def scheme_text(seed):
+    rng = random.Random(seed)
+    lattice = rng.choice(sorted(SCHEME_DOMAINS))
+    lits, unary = SCHEME_DOMAINS[lattice]
+    points = [f"p{i}" for i in range(rng.randint(1, 4))]
+
+    def form(depth):
+        kinds = ["ctx", "lit"]
+        if depth > 0:
+            kinds += ["cell", "apply", "apply2", "join", "meet", "folded", "runaway"]
+        kind = rng.choice(kinds)
+        sub = lambda: arg(depth - 1)
+        if kind == "ctx":
+            return "ctx"
+        if kind == "lit":
+            return f"lit {rng.choice(lits)}"
+        if kind == "cell":
+            return f"cell {rng.choice(points)} {sub()}"
+        if kind == "apply":
+            return f"apply {rng.choice(unary)} {sub()}"
+        if kind == "apply2":
+            return f"apply {rng.choice(['join', 'meet'])} {sub()} {sub()}"
+        if kind == "runaway":
+            return f"cell {rng.choice(points)} (apply {rng.choice(unary)} ctx)"
+        if kind == "folded":
+            return f"apply {rng.choice(unary)} (lit {rng.choice(lits)})"
+        return f"{kind} {sub()} {sub()}"
+
+    def arg(depth):
+        text = form(depth)
+        return text if text == "ctx" and rng.random() < 0.7 else f"({text})"
+
+    lines = [f"scheme {lattice}", f"start {points[0]} {rng.choice(lits)}"]
+    lines += [f"point {u} = {form(3)}" for u in points]
+    return "\n".join(lines) + "\n"
+
+
+def _guarded(name, run):
+    try:
+        return run()
+    except VarBudgetExceeded as exc:
+        return f"{name}|error: {exc}"
+    except RecursionError:
+        return f"{name}|error: recursion limit"
+
+
+def scheme_rendering():
+    lines = []
+    for seed in range(300):
+        scheme = latfix.cli.parse_scheme_file(scheme_text(seed))
+        ops = scheme.ops
+        key = lambda var: (var[0], ops.sort_key(var[1]))
+        outcome = check_stratified(scheme)
+        strata = (",".join(f"{u}={outcome[u]}" for u in sorted(outcome))
+                  if isinstance(outcome, dict) else "->".join(outcome.points))
+        lines.append(f"{seed}|{latfix.cli.format_scheme_file(scheme)!r}|{strata}")
+        system = capped(instantiate_system(scheme))
+        runs = [("tstp", lambda: tstp(system, scheme.start, ops, var_budget=2000)),
+                ("tsmp", lambda: tsmp(system, scheme.start, ops, var_budget=2000)),
+                ("warrow200", lambda: warrow_solve(system, scheme.start, ops, 200))]
+        for name, run in runs:
+            lines.append(f"{seed}|" + _guarded(
+                name, lambda: _render_result(name, ops, run(), key)))
+    return "\n".join(lines)
+
+
 def _digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -68,3 +152,7 @@ def test_solver_results_over_random_corpus_are_pinned():
 
 def test_cli_solve_output_over_samples_is_pinned():
     assert _digest(cli_rendering()) == CLI_DIGEST
+
+
+def test_scheme_results_over_seeded_texts_are_pinned():
+    assert _digest(scheme_rendering()) == SCHEME_DIGEST

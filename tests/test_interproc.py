@@ -4,8 +4,6 @@ import pytest
 
 from latfix import (
     Answer,
-    CTX,
-    Const,
     CounterexampleCycle,
     SolveStatus,
     check_levels,
@@ -19,7 +17,7 @@ from latfix import (
     tstp,
 )
 from latfix.eqsys import EquationSystem
-from latfix.interproc import Apply, Scheme, SchemeError, resolve_builtin
+from latfix.interproc import Scheme, SchemeError, resolve_builtin
 from latfix.lattice import NatInf, make_domain
 from latfix.cli import parse_scheme_file
 
@@ -28,6 +26,7 @@ from fixtures import (
     SCHEME_NESTED_INTERVAL,
     SCHEME_NESTED_NATINF,
     SCHEME_RECURSIVE,
+    capped,
     eval_tree_traced,
     sem_expr,
 )
@@ -43,20 +42,28 @@ def nested():
 # --- expression semantics ---------------------------------------------------------
 
 def test_sem_expr_context_and_const(nested):
-    assert sem_expr(CTX, 7, {}, nested.builtins) == 7
-    assert sem_expr(Const(4), 7, {}, nested.builtins) == 4
+    assert sem_expr(("ctx",), 7, {}, nested) == 7
+    assert sem_expr(("lit", 4), 7, {}, nested) == 4
 
 
 def test_sem_expr_clamped_increment(nested):
     # join(min(ctx+1, 10), ctx) at ctx=0 with the cell bound to 0
     expr = nested.rhs["v"]
-    assert sem_expr(expr, 0, {("v", 0): 0}, nested.builtins) == 1
-    assert sem_expr(expr, 0, {("v", 0): 12}, nested.builtins) == 10
+    assert sem_expr(expr, 0, {("v", 0): 0}, nested) == 1
+    assert sem_expr(expr, 0, {("v", 0): 12}, nested) == 10
 
 
-def test_sem_expr_unknown_builtin():
+def test_sem_expr_unknown_builtin(nested):
     with pytest.raises(SchemeError):
-        sem_expr(Apply("mystery", (CTX,)), 0, {}, {})
+        sem_expr(("apply", "mystery", ("ctx",)), 0, {}, nested)
+
+
+@pytest.mark.parametrize("expr", [("join", ("ctx",)), ("apply", "inc"),
+                                  ("cell", "w", ("ctx",)), ("get", "u")])
+def test_validate_rejects_malformed_expressions(expr):
+    inc = {"inc": resolve_builtin("inc", NAT)}
+    with pytest.raises(SchemeError):
+        Scheme(NAT, ("u",), {"u": expr}, inc, ("u", 0)).validate()
 
 
 def test_resolve_builtin_errors():
@@ -69,7 +76,7 @@ def test_resolve_builtin_errors():
 # --- instantiation ------------------------------------------------------------------
 
 def test_instantiate_const_scheme():
-    scheme = Scheme(NAT, ("u",), {"u": Const(5)}, {}, ("u", 0)).validate()
+    scheme = Scheme(NAT, ("u",), {"u": ("lit", 5)}, {}, ("u", 0)).validate()
     system = instantiate_system(scheme)
     tree = system.rhs(("u", 3))
     assert isinstance(tree, Answer) and tree.value == 5
@@ -130,7 +137,7 @@ def test_check_levels_rejects_bad_witness(nested):
 def test_stratified_schemes_terminate(text, solver):
     scheme = parse_scheme_file(text)
     system = instantiate_system(scheme)
-    result = solver(system, scheme.start, scheme.ops)
+    result = solver(capped(system), scheme.start, scheme.ops)
     assert result.status is SolveStatus.COMPLETED
     assert scheme.start in result.assignment.dom
     per_point = {}

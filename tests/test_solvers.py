@@ -29,6 +29,7 @@ from fixtures import (
     LIT5_NATINF,
     MONOTONE_CHAIN5,
     SCHEME_RECURSIVE,
+    capped,
     random_corpus,
 )
 
@@ -316,7 +317,7 @@ def infinite_lattice_files(draw):
 def test_demand_driven_solvers_terminate_on_infinite_lattices(text):
     prog = parse_finite_file(text)
     for solver in (tstp, tsmp):
-        result = solver(prog.system, prog.var_order[0], prog.ops)
+        result = solver(capped(prog.system), prog.var_order[0], prog.ops)
         assert result.status is SolveStatus.COMPLETED
         assert is_closed(result.assignment, prog.system)
 
@@ -373,7 +374,7 @@ def test_demand_driven_solvers_terminate_on_stratified_schemes(text):
     assert isinstance(levels, dict) and check_levels(scheme, levels)
     system = instantiate_system(scheme)
     for solver in (tstp, tsmp):
-        result = solver(system, scheme.start, scheme.ops, var_budget=5000)
+        result = solver(capped(system), scheme.start, scheme.ops, var_budget=5000)
         assert result.status is SolveStatus.COMPLETED
         assert is_closed(result.assignment, system)
 
