@@ -111,18 +111,24 @@ def _parse_descriptor(tokens, lineno):
     if not tokens:
         raise ParseError("missing lattice kind", lineno)
     kind, args = tokens[0], tokens[1:]
-    if kind == "chain" and len(args) != 1:
-        raise ParseError("chain takes one size argument", lineno)
-    if kind in ("natinf", "interval") and args:
-        raise ParseError(f"{kind} takes no arguments", lineno)
     try:
         if kind == "chain":
+            if len(args) != 1:
+                raise ParseError("chain takes one size argument", lineno)
             return make_domain(Chain(int(args[0])))
+        if kind == "natinf":
+            if args:
+                raise ParseError("natinf takes no arguments", lineno)
+            return make_domain(NatInf())
+        if kind == "interval":
+            if args:
+                raise ParseError("interval takes no arguments", lineno)
+            return make_domain(Interval())
         if kind == "powerset":
             return make_domain(Powerset(tuple(args)))
-        if kind in ("natinf", "interval"):
-            return make_domain(NatInf() if kind == "natinf" else Interval())
     except (LatticeError, ValueError) as exc:
+        if isinstance(exc, ParseError):
+            raise
         raise ParseError(str(exc), lineno) from None
     raise ParseError(f"unknown lattice kind {kind!r}", lineno)
 
@@ -314,7 +320,9 @@ def _lattice_directive(ops):
         return f"chain {d.size}"
     if isinstance(d, Powerset):
         return "powerset " + " ".join(d.atoms)
-    return "natinf" if isinstance(d, NatInf) else "interval"
+    if isinstance(d, NatInf):
+        return "natinf"
+    return "interval"
 
 
 # --- finite-system files --------------------------------------------------------

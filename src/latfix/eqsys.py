@@ -312,6 +312,12 @@ def _emit(e: tuple, code: list, ops: LatticeOps, builtins) -> bool:
             return True
         code.append(OP_JOIN if tag == "join" else OP_MEET)
         return False
+    if tag == "inc":
+        if _emit(e[1], code, ops, builtins):
+            code[-1] = ops.succ(code[-1])
+            return True
+        code.append(OP_INC)
+        return False
     if tag == "ite":
         cmp_op, lhs, rhs = e[1]
         literal = _emit(lhs, code, ops, builtins)
@@ -336,14 +342,9 @@ def _emit(e: tuple, code: list, ops: LatticeOps, builtins) -> bool:
         _emit(e[2], code, ops, builtins)
         code += (OP_CELL, e[1])
         return False
-    # `inc` and builtins: done here if every operand is a literal.
-    if tag == "inc":
-        fn, args, instr = ops.succ, e[1:], (OP_INC,)
-    elif tag == "apply":
-        fn, args = builtins[e[1]].fn, e[2:]
-        instr = (OP_CALL, fn, len(args))
-    else:
+    if tag != "apply":
         raise ValueError(f"bad expression tag {tag!r}")
+    fn, args = builtins[e[1]].fn, e[2:]     # applied here if every operand is a literal
     literal = True
     for a in args:     # a comprehension here would make every local a cell
         literal = _emit(a, code, ops, builtins) and literal
@@ -351,5 +352,5 @@ def _emit(e: tuple, code: list, ops: LatticeOps, builtins) -> bool:
         start = len(code) - 2 * len(args)
         code[start:] = (OP_LIT, fn(*code[start + 1::2]))
         return True
-    code += instr
+    code += (OP_CALL, fn, len(args))
     return False

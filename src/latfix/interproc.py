@@ -94,23 +94,23 @@ class Scheme:
         return self
 
     def _validate_expr(self, expr, points):
-        tag, args, arity = expr[0], expr[1:], None
-        if tag == "lit":
-            return
+        tag = expr[0]
         if tag == "apply":
             fn = self.builtins.get(expr[1])
             if fn is None:
                 raise SchemeError(f"unknown builtin {expr[1]!r}")
             tag, args, arity = expr[1], expr[2:], fn.arity
-        elif tag == "cell":
+        elif tag == "join" or tag == "meet":
+            args, arity = expr[1:], 2
+        elif tag == "cell" and len(expr) == 3:
             if expr[1] not in points:
                 raise SchemeError(f"unknown point {expr[1]!r}")
-            args = expr[2:]
-        elif tag == "join" or tag == "meet":
-            arity = 2
-        elif tag != "ctx":
+            args, arity = expr[2:], 1
+        elif (tag == "lit" and len(expr) == 2) or expr == ("ctx",):
+            return
+        else:
             raise SchemeError(f"bad expression node {expr!r}")
-        if arity is not None and arity != len(args):
+        if arity != len(args):
             raise SchemeError(f"builtin {tag!r} takes {arity} arguments, got {len(args)}")
         for a in args:
             self._validate_expr(a, points)

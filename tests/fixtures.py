@@ -129,15 +129,15 @@ class EvaluationCapExceeded(BaseException):
     """
 
 
-def capped(system, cap=RHS_CALL_CAP):
-    """`system`, failing once its right-hand sides are requested `cap` times."""
+def capped(system):
+    """`system`, failing once its right-hand sides are requested `RHS_CALL_CAP` times."""
     calls = 0
 
     def rhs(var):
         nonlocal calls
         calls += 1
-        if calls > cap:
-            raise EvaluationCapExceeded(f"more than {cap} right-hand-side evaluations")
+        if calls > RHS_CALL_CAP:
+            raise EvaluationCapExceeded(f"more than {RHS_CALL_CAP} right-hand-side evaluations")
         return system.rhs(var)
 
     return EquationSystem(rhs, all_vars=system.all_vars)
