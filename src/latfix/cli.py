@@ -451,11 +451,12 @@ def _run_solver(kind, prog, solver, fuel, var_budget, start_override):
         system = instantiate_system(prog)
         start = _scheme_start(prog, start_override)
     if solver == "tstp":
-        return ops, tstp(system, start, ops, var_budget=var_budget)
+        return ops, tstp(system, start, ops, var_budget=var_budget, fuel=fuel)
     if solver == "tsmp":
-        return ops, tsmp(system, start, ops, var_budget=var_budget)
+        return ops, tsmp(system, start, ops, var_budget=var_budget, fuel=fuel)
     if solver == "warrow":
-        return ops, warrow_solve(system, start, ops, fuel, var_budget=var_budget)
+        return ops, warrow_solve(system, start, ops, fuel or DEFAULT_FUEL,
+                                 var_budget=var_budget)
     raise UsageError(f"unknown solver {solver!r}")
 
 
@@ -632,8 +633,9 @@ def _build_parser():
         if with_solver:
             p.add_argument("solver", choices=SOLVERS)
         p.add_argument("file")
-        p.add_argument("--fuel", type=_positive_int, default=DEFAULT_FUEL,
-                       help="evaluation fuel for the warrowing baseline")
+        p.add_argument("--fuel", type=_positive_int, default=None,
+                       help="evaluation fuel; tstp and tsmp run without a limit "
+                       f"unless it is given, warrow defaults to {DEFAULT_FUEL}")
         p.add_argument("--start", default=None,
                        help="start override: VAR (finite) or POINT:VALUE (scheme)")
         p.add_argument("--var-budget", type=_positive_int,

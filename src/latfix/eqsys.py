@@ -20,14 +20,18 @@ Instructions (operands in brackets; "pop b, a" pops the top first):
 
   GET [var]          push lookup(var)
   LIT [value]        push value
-  CTX                push the context the program is bound to
   JOIN, MEET         pop b, a; push ops.join(a, b) or ops.meet(a, b)
   INC                replace the top v by ops.succ(v)
   EQ, LEQ [target]   pop b, a; jump to target unless ops.eq(a, b) or
                      ops.leq(a, b) holds
   JMP [target]       jump to target
   CELL [point]       replace the top d by lookup((point, d))
+  CTX                push the context the program is bound to
   CALL [fn, n]       pop n arguments; push fn(*arguments)
+
+The last three occur only in schemes, where they are most of the code, so
+their opcodes are the highest and `eval_tree` tells them from the rest with
+one comparison, right after the four instructions both languages use most.
 
 The lattice operations are looked up on the program's ops object when an
 instruction runs, never stored in the code.
@@ -43,7 +47,7 @@ from .lattice import LatticeOps, Value
 VarId = Hashable
 Lookup = Callable[[VarId], Value]
 
-OP_GET, OP_LIT, OP_CTX, OP_JOIN, OP_MEET, OP_INC, OP_EQ, OP_LEQ, OP_JMP, OP_CELL, \
+OP_GET, OP_LIT, OP_JOIN, OP_MEET, OP_INC, OP_EQ, OP_LEQ, OP_JMP, OP_CELL, OP_CTX, \
     OP_CALL = range(11)
 
 
@@ -131,6 +135,24 @@ def eval_tree(tree: Tree, lookup) -> Value:
         elif op == OP_MEET:
             top = ops.meet(pop(), top)
             pc += 1
+        elif op >= OP_CELL:
+            if op == OP_CALL:
+                arity = code[pc + 2]
+                if arity == 1:
+                    top = code[pc + 1](top)
+                else:
+                    push(top)
+                    args = stack[len(stack) - arity:]
+                    del stack[len(stack) - arity:]
+                    top = code[pc + 1](*args)
+                pc += 3
+            elif op == OP_CTX:
+                push(top)
+                top = tree.ctx
+                pc += 1
+            else:
+                top = lookup((code[pc + 1], top))
+                pc += 2
         elif op == OP_EQ:
             b = top
             a = pop()
@@ -143,23 +165,6 @@ def eval_tree(tree: Tree, lookup) -> Value:
             pc = pc + 2 if ops.leq(a, b) else code[pc + 1]
         elif op == OP_JMP:
             pc = code[pc + 1]
-        elif op == OP_CELL:
-            top = lookup((code[pc + 1], top))
-            pc += 2
-        elif op == OP_CALL:
-            arity = code[pc + 2]
-            if arity == 1:
-                top = code[pc + 1](top)
-            else:
-                push(top)
-                args = stack[len(stack) - arity:]
-                del stack[len(stack) - arity:]
-                top = code[pc + 1](*args)
-            pc += 3
-        elif op == OP_CTX:
-            push(top)
-            top = tree.ctx
-            pc += 1
         else:
             top = ops.succ(top)
             pc += 1

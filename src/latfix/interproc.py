@@ -43,7 +43,11 @@ class BuiltinFn:
 
 def resolve_builtin(name: str, ops: LatticeOps) -> BuiltinFn:
     """Look up a builtin, materializing `name:param` instances on the fly."""
-    base, _, param = name.partition(":")
+    base, sep, param = name.partition(":")
+    if sep and base in ("join", "meet", "id", "inc", "dec"):
+        raise SchemeError(f"builtin {base!r} takes no parameter, got {name!r}")
+    if not param and base in ("add_const", "meet_const", "join_const"):
+        raise SchemeError(f"builtin {base!r} needs a parameter, got none")
     if base == "join":
         return BuiltinFn(name, 2, ops.join)
     if base == "meet":

@@ -13,18 +13,30 @@ Four engines over one equation-system interface:
                 phase flags with the derived warrowing operator
 
 The last three are drivers over one demand-driven core, `_demand`.  It gives
-priorities in discovery order (0, -1, -2, ...), detects widening/narrowing
-points dynamically (a variable queried at priority not below its querier's),
-keeps influence sets and a priority queue with set semantics, and applies one
-update rule.  At points the driver's mode picks the operator: WIDEN widens
-(tstp's phase 0); NARROW narrows, and other variables take the meet, so
-values only descend (tstp's phase 1, tsmp with its flag set); WARROW narrows
-if the new value is below the old one and widens otherwise (tsmp with its
-flag unset; narrowing sets the flag).  WARROW_LATE (warrow_solve) is WARROW
-with point membership sampled after the evaluation, so a self-dependency
-found by that very evaluation already counts.  This lets the operator flip
-between widening and narrowing forever on non-monotonic systems, which is the
-divergence warrow_solve exists to exhibit, and why it runs on fuel.
+each variable a dense int slot in discovery order (0, 1, 2, ...), and the
+slot's negation is its priority.  Influence sets, the set of points, the work
+queue and the drivers' assignments all hold slots, so a look-up hashes its
+variable once, to find its slot; the results are renamed back to variables.
+The core detects widening/narrowing points dynamically (a variable queried at
+priority not below its querier's), keeps a priority queue with set semantics,
+and applies one update rule.  At points the driver's mode picks the operator:
+WIDEN widens (tstp's phase 0); NARROW narrows, and other variables take the
+meet, so values only descend (tstp's phase 1, tsmp with its flag set); WARROW
+narrows if the new value is below the old one and widens otherwise (tsmp with
+its flag unset; narrowing sets the flag).  WARROW_LATE (warrow_solve) is
+WARROW with point membership sampled after the evaluation, so a
+self-dependency found by that very evaluation already counts.  This lets the
+operator flip between widening and narrowing forever on non-monotonic
+systems, which is the divergence warrow_solve exists to exhibit, and why it
+runs on fuel.
+
+A look-up calls the driver's solve only for a variable not yet in the
+assignment it reads.  Every solver requests a variable's right-hand side
+once per solve: tsrr before it starts, the others at the variable's first
+evaluation, after the fuel check, so a run that runs dry on meeting an
+unknown variable reports that, not the unknown variable.  `tstp` and `tsmp`
+take an optional fuel as well; spending it ends the run with FUEL_EXHAUSTED
+and the partial assignments.
 
 Each solver's nested functions reference one another through their closure
 cells.  A solver empties those cells when it is done, so that reference
@@ -89,23 +101,23 @@ class _PrioQueue:
     """Priority queue with set semantics; inserting a present key is a no-op.
 
     Priorities are unique per solve and a key is in the heap at most once, so
-    heap entries never tie on the priority and variables are never compared.
+    heap entries never tie on the priority and keys are never compared.
     """
 
     def __init__(self):
         self._heap = []
         self._members = set()
 
-    def insert(self, prio, var):
-        if var in self._members:
+    def insert(self, prio, key):
+        if key in self._members:
             return
-        self._members.add(var)
-        heappush(self._heap, (prio, var))
+        self._members.add(key)
+        heappush(self._heap, (prio, key))
 
     def extract_min(self):
-        _, var = heappop(self._heap)
-        self._members.discard(var)
-        return var
+        _, key = heappop(self._heap)
+        self._members.discard(key)
+        return key
 
     def min_prio(self):
         return self._heap[0][0]
@@ -126,6 +138,7 @@ def tsrr(variables, system: EquationSystem, ops: LatticeOps) -> SolverResult:
     order = list(variables)
     n = len(order)
     sigma = {v: ops.bot for v in order}
+    trees = [system.rhs(y) for y in order]  # each one is evaluated at least once
     stats = Stats(vars_encountered=n)
 
     def lookup(z):
@@ -141,7 +154,7 @@ def tsrr(variables, system: EquationSystem, ops: LatticeOps) -> SolverResult:
         while True:
             solve(b, i - 1)
             stats.rhs_evals += 1
-            tmp = eval_tree(system.rhs(y), lookup)
+            tmp = eval_tree(trees[n - i], lookup)
             b2 = b
             if b:
                 tmp = ops.narrow(sigma[y], tmp)
@@ -167,56 +180,71 @@ def tsrr(variables, system: EquationSystem, ops: LatticeOps) -> SolverResult:
 def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None):
     """The core of tstp, tsmp and warrow_solve (see the module docstring).
 
-    Returns (prio, infl, queue, stats, discover, requeue, reading, do_var).
-    The drivers own the assignments, whose keys are the variables solved into
+    Returns (infl, queue, discover, requeue, reading, do_var, result).
+    The drivers own the assignments, whose keys are the slots solved into
     them.  Once `fuel` evaluations are spent, do_var raises _OutOfFuel.
     """
-    prio: dict = {}
-    infl: dict = {}
+    if fuel is not None and fuel < 1:
+        raise ValueError("fuel must be >= 1")
+    slot: dict = {}         # variable -> slot
+    variables: list = []    # slot -> variable
+    trees: list = []        # slot -> right-hand side, once requested
+    infl: list = []         # slot -> slots of its readers
     point: set = set()
     queue = _PrioQueue()
     stats = Stats()
-    reader = None  # the variable whose right-hand side is being evaluated
+    reader = None  # the slot whose right-hand side is being evaluated
 
     def discover(y):
-        if len(prio) >= var_budget:
+        t = len(variables)
+        if t >= var_budget:
             raise VarBudgetExceeded(var_budget)
-        prio[y] = -len(prio)
-        infl[y] = set()
+        slot[y] = t
+        variables.append(y)
+        trees.append(None)
+        infl.append(set())
+        return t
 
-    def requeue(y):
-        for z in infl[y]:
-            queue.insert(prio[z], z)
-        infl[y] = set()
+    def requeue(t):
+        for u in infl[t]:
+            queue.insert(-u, u)
+        infl[t] = set()
 
     def reading(sigma, solve):
-        # One look-up per assignment; solve(z, n) gets the reader's priority n.
+        # One look-up per assignment; solve(t, n) gets the reader's priority n.
         def lookup(z):
-            n = prio[reader]
-            solve(z, n)
-            if prio[z] >= n:
-                point.add(z)
-            infl[z].add(reader)
-            return sigma[z]
+            r = reader
+            t = slot.get(z)
+            if t is None:
+                t = discover(z)
+            if t not in sigma:
+                solve(t, -r)
+            if t <= r:
+                point.add(t)
+            infl[t].add(r)
+            return sigma[t]
 
         return lookup
 
-    def do_var(y, sigma, mode, lookup):
-        """Re-evaluate y; True if stable, narrowed or in NARROW mode (sound)."""
+    def do_var(t, sigma, mode, lookup):
+        """Re-evaluate t; True if stable, narrowed or in NARROW mode (sound)."""
         nonlocal reader
         if mode != WARROW_LATE:
-            isp = y in point
-            point.discard(y)
+            isp = t in point
+            point.discard(t)
         if stats.rhs_evals == fuel:
             raise _OutOfFuel
         stats.rhs_evals += 1
-        outer, reader = reader, y
-        new = eval_tree(system.rhs(y), lookup)
+        tree = trees[t]
+        if tree is None:
+            tree = trees[t] = system.rhs(variables[t])
+        outer, reader = reader, t
+        new = eval_tree(tree, lookup)
         reader = outer
         if mode == WARROW_LATE:
-            isp = y in point
-            point.discard(y)
-        old = sigma[y]
+            isp = t in point
+            point.discard(t)
+        old = sigma[t]
         sound = mode == NARROW
         if isp:
             if mode == WIDEN or not (sound or ops.leq(new, old)):
@@ -231,15 +259,29 @@ def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None)
         if ops.eq(old, new):
             # A stable evaluation leaves a value that is sound as it stands.
             return True
-        sigma[y] = new
-        requeue(y)
+        sigma[t] = new
+        requeue(t)
         return sound
 
-    return prio, infl, queue, stats, discover, requeue, reading, do_var
+    def result(completed, sigma, sigma0=None):
+        """The driver's result, its assignments keyed by variable again."""
+        assert not (completed and queue)
+        stats.vars_encountered = len(variables)
+        if fuel is not None:
+            stats.fuel_used = stats.rhs_evals
+
+        def named(s):
+            return Assignment(ops, {variables[t]: d for t, d in s.items()})
+
+        status = SolveStatus.COMPLETED if completed else SolveStatus.FUEL_EXHAUSTED
+        return SolverResult(named(sigma), stats, status,
+                            None if sigma0 is None else named(sigma0))
+
+    return infl, queue, discover, requeue, reading, do_var, result
 
 
 def tstp(system: EquationSystem, start, ops: LatticeOps, *,
-         var_budget: int = DEFAULT_VAR_BUDGET) -> SolverResult:
+         var_budget: int = DEFAULT_VAR_BUDGET, fuel: int | None = None) -> SolverResult:
     """Demand-driven two-phase solving from one start variable.
 
     Phase 0 runs a local widening iteration into sigma0; phase 1 copies each
@@ -257,47 +299,44 @@ def tstp(system: EquationSystem, start, ops: LatticeOps, *,
     post-solution sigma0): sigma1 is a post-solution of f↓.  The paper's
     abstract gives no solver text; this clamp is a stated departure from it.
     """
-    prio, infl, queue, stats, discover, requeue, reading, do_var = _demand(
-        system, ops, var_budget)
+    infl, queue, discover, requeue, reading, do_var, result = _demand(
+        system, ops, var_budget, fuel)
     sigma0: dict = {}
     sigma1: dict = {}
 
-    def solve0(y, _n=None):
-        if y in sigma0:
-            return
-        discover(y)
-        sigma0[y] = ops.bot
-        do_var(y, sigma0, WIDEN, eval0)
-        n = prio[y]
-        while queue and queue.min_prio() <= n:
+    def solve0(t, _n=None):
+        sigma0[t] = ops.bot
+        do_var(t, sigma0, WIDEN, eval0)
+        while queue and queue.min_prio() <= -t:
             do_var(queue.extract_min(), sigma0, WIDEN, eval0)
 
-    def solve1(y, n):
+    def solve1(t, n):
         # Variables with priority below n (the reader's) are stabilized first.
-        if y in sigma1:
-            return
-        solve0(y)
-        sigma1[y] = sigma0[y]
-        infl[y].add(y)  # queue y itself along with its readers
-        requeue(y)
+        if t not in sigma0:
+            solve0(t)
+        sigma1[t] = sigma0[t]
+        infl[t].add(t)  # queue t itself along with its readers
+        requeue(t)
         while queue and queue.min_prio() < n:
-            z = queue.extract_min()
-            solve1(z, prio[z])
-            do_var(z, sigma1, NARROW, eval1)
+            u = queue.extract_min()
+            if u not in sigma1:
+                solve1(u, -u)
+            do_var(u, sigma1, NARROW, eval1)
 
     eval0 = reading(sigma0, solve0)
     eval1 = reading(sigma1, solve1)
-    solve1(start, 1)
+    try:
+        solve1(discover(start), 1)
+        completed = True
+    except _OutOfFuel:
+        completed = False
     # Break the closure cycle (see the module docstring).
     del solve0, solve1, eval0, eval1
-    assert not queue
-    stats.vars_encountered = len(sigma0)
-    return SolverResult(Assignment(ops, sigma1), stats, SolveStatus.COMPLETED,
-                        sigma0=Assignment(ops, sigma0))
+    return result(completed, sigma1, sigma0)
 
 
 def tsmp(system: EquationSystem, start, ops: LatticeOps, *,
-         var_budget: int = DEFAULT_VAR_BUDGET) -> SolverResult:
+         var_budget: int = DEFAULT_VAR_BUDGET, fuel: int | None = None) -> SolverResult:
     """Demand-driven mixed-phase solving from one start variable.
 
     One assignment; per update the flag decides the operator: narrowing once
@@ -312,34 +351,32 @@ def tsmp(system: EquationSystem, start, ops: LatticeOps, *,
     f↓(σ_final) ⊑ f↓(σ_eval) ⊑ f(σ_eval) with the old value as bound.  This
     clamp is a stated departure from the paper's solver text.
     """
-    prio, _, queue, stats, discover, _, reading, do_var = _demand(
-        system, ops, var_budget)
+    _, queue, discover, _, reading, do_var, result = _demand(
+        system, ops, var_budget, fuel)
     sigma: dict = {}
 
-    def solve(y, _n=None):
-        if y in sigma:
-            return
-        discover(y)
-        sigma[y] = ops.bot
-        iterate(do_var(y, sigma, WARROW, lookup), prio[y])
+    def solve(t, _n=None):
+        sigma[t] = ops.bot
+        iterate(do_var(t, sigma, WARROW, lookup), -t)
 
     def iterate(b, n):
         while queue and queue.min_prio() <= n:
-            y = queue.extract_min()
-            b2 = do_var(y, sigma, NARROW if b else WARROW, lookup)
-            n2 = prio[y]
-            if b != b2 and n > n2:
-                iterate(b2, n2)
+            t = queue.extract_min()
+            b2 = do_var(t, sigma, NARROW if b else WARROW, lookup)
+            if b != b2 and n > -t:
+                iterate(b2, -t)
             else:
                 b = b2
 
     lookup = reading(sigma, solve)
-    solve(start)
+    try:
+        solve(discover(start))
+        completed = True
+    except _OutOfFuel:
+        completed = False
     # Break the closure cycle (see the module docstring).
     del solve, iterate, lookup
-    assert not queue
-    stats.vars_encountered = len(sigma)
-    return SolverResult(Assignment(ops, sigma), stats, SolveStatus.COMPLETED)
+    return result(completed, sigma)
 
 
 def warrow_solve(system: EquationSystem, start, ops: LatticeOps, fuel: int, *,
@@ -353,31 +390,22 @@ def warrow_solve(system: EquationSystem, start, ops: LatticeOps, fuel: int, *,
     running dry is reported as a status, with the partial state reached so
     far.
     """
-    if fuel < 1:
-        raise ValueError("fuel must be >= 1")
-    prio, _, queue, stats, discover, _, reading, do_var = _demand(
+    _, queue, discover, _, reading, do_var, result = _demand(
         system, ops, var_budget, fuel)
     sigma: dict = {}
 
-    def solve(y, _n=None):
-        if y in sigma:
-            return
-        discover(y)
-        sigma[y] = ops.bot
-        do_var(y, sigma, WARROW_LATE, lookup)
-        n = prio[y]
-        while queue and queue.min_prio() <= n:
+    def solve(t, _n=None):
+        sigma[t] = ops.bot
+        do_var(t, sigma, WARROW_LATE, lookup)
+        while queue and queue.min_prio() <= -t:
             do_var(queue.extract_min(), sigma, WARROW_LATE, lookup)
 
     lookup = reading(sigma, solve)
     try:
-        solve(start)
-        status = SolveStatus.COMPLETED
-        assert not queue
+        solve(discover(start))
+        completed = True
     except _OutOfFuel:
-        status = SolveStatus.FUEL_EXHAUSTED
+        completed = False
     # Break the closure cycle (see the module docstring).
     del solve, lookup
-    stats.fuel_used = stats.rhs_evals
-    stats.vars_encountered = len(sigma)
-    return SolverResult(Assignment(ops, sigma), stats, status)
+    return result(completed, sigma)

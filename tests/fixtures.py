@@ -1,18 +1,20 @@
 """Shared systems, trees and reference compilers used across the test modules."""
 
 import random
+from collections import Counter
 
 from latfix import (
     Answer,
     EquationSystem,
     Query,
     SchemeError,
+    SolveStatus,
     UnknownVariableError,
     call_loop_system,
     eval_tree,
     gen_random_system,
 )
-from latfix.eqsys import as_lookup
+from latfix.eqsys import OP_CALL, Program, as_lookup
 from latfix.lattice import Chain, Powerset
 
 EX1_NATINF = """\
@@ -113,15 +115,16 @@ def eval_tree_traced(tree, lookup):
     return eval_tree(tree, record), trace
 
 
-# Nothing bounds a solver that stops terminating while it stays in finitely
-# many variables; a termination test runs its solvers on `capped` systems so
-# such a regression fails instead of hanging.
+# Only fuel bounds a solver that stops terminating while it stays in finitely
+# many variables.  A termination test runs its solvers through `solve_capped`,
+# and the golden scheme digest runs them on `capped` systems, so that such a
+# regression fails instead of hanging.
 
 RHS_CALL_CAP = 10**5
 
 
 class EvaluationCapExceeded(BaseException):
-    """A solver asked for more right-hand sides than a termination test allows.
+    """A solver needed more evaluations than a termination test allows.
 
     Not an `Exception`, so Hypothesis fails the property at once with the
     seed that reproduces it; shrinking a runaway example would cost another
@@ -130,17 +133,48 @@ class EvaluationCapExceeded(BaseException):
 
 
 def capped(system):
-    """`system`, failing once its right-hand sides are requested `RHS_CALL_CAP` times."""
-    calls = 0
+    """`system`, failing once its programs have run `RHS_CALL_CAP` times.
+
+    A solver requests each right-hand side once per solve, so the runs are
+    counted by one instruction appended to each program: every path through
+    a program ends there, since a jump targets at most the end of the code.
+    Answers and hand-built trees are passed through uncounted.
+    """
+    runs = 0
+
+    def tick(value):
+        nonlocal runs
+        runs += 1
+        if runs > RHS_CALL_CAP:
+            raise EvaluationCapExceeded(f"more than {RHS_CALL_CAP} right-hand-side evaluations")
+        return value
 
     def rhs(var):
-        nonlocal calls
-        calls += 1
-        if calls > RHS_CALL_CAP:
-            raise EvaluationCapExceeded(f"more than {RHS_CALL_CAP} right-hand-side evaluations")
-        return system.rhs(var)
+        tree = system.rhs(var)
+        if tree.__class__ is Program:
+            tree = Program(tree.code + (OP_CALL, tick, 1), tree.ops, tree.ctx)
+        return tree
 
     return EquationSystem(rhs, all_vars=system.all_vars)
+
+
+def solve_capped(solver, system, start, ops, **kwargs):
+    """`solver`'s result on `RHS_CALL_CAP` fuel; running dry raises `EvaluationCapExceeded`."""
+    result = solver(system, start, ops, fuel=RHS_CALL_CAP, **kwargs)
+    if result.status is SolveStatus.FUEL_EXHAUSTED:
+        raise EvaluationCapExceeded(f"more than {RHS_CALL_CAP} right-hand-side evaluations")
+    return result
+
+
+def counted(system):
+    """`system`, and a counter of the requests made for each right-hand side."""
+    requests = Counter()
+
+    def rhs(var):
+        requests[var] += 1
+        return system.rhs(var)
+
+    return EquationSystem(rhs, all_vars=system.all_vars), requests
 
 
 # --- reference compilers ------------------------------------------------------

@@ -91,6 +91,22 @@ def test_parse_scheme_errors():
 
 
 @pytest.mark.parametrize("body, message", [
+    ("apply inc:7 ctx", "builtin 'inc' takes no parameter, got 'inc:7'"),
+    ("apply dec:1 ctx", "builtin 'dec' takes no parameter, got 'dec:1'"),
+    ("apply id:x ctx", "builtin 'id' takes no parameter, got 'id:x'"),
+    ("apply join:q ctx ctx", "builtin 'join' takes no parameter, got 'join:q'"),
+    ("apply meet:0 ctx ctx", "builtin 'meet' takes no parameter, got 'meet:0'"),
+    ("apply meet_const ctx", "builtin 'meet_const' needs a parameter, got none"),
+    ("apply join_const: ctx", "builtin 'join_const' needs a parameter, got none"),
+])
+def test_builtin_parameters_are_checked(tmp_path, capsys, body, message):
+    path = write(tmp_path, "b.sch", f"scheme natinf\nstart u 0\npoint u = {body}\n")
+    code, out = run_cli("solve", "tsmp", path)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: line 3: {message}\n"
+
+
+@pytest.mark.parametrize("body, message", [
     ("get u", "unknown operator 'get'"),
     ("inc ctx", "unknown operator 'inc'"),
     ("join ctx (inc (cell u ctx))", "unknown operator 'inc'"),
@@ -208,6 +224,17 @@ def test_solve_warrow_fuel_exhaustion(tmp_path):
     code, out = run_cli("solve", "warrow", path, "--fuel", "1000")
     assert code == EXIT_FUEL
     assert "fuel-exhausted" in out
+
+
+@pytest.mark.parametrize("command", [["solve", "tstp"], ["solve", "tsmp"],
+                                     ["compare", "tstp", "tsmp"], ["verify", "tsmp"]])
+def test_fuel_limits_tstp_and_tsmp_only_when_given(command):
+    path = str(SAMPLES / "flipflop_chain4.lat")
+    assert run_cli(*command, path)[0] == EXIT_OK
+    code, out = run_cli(*command, path, "--fuel", "1")
+    assert code == EXIT_FUEL
+    if command[0] != "compare":
+        assert "status: fuel-exhausted" in out
 
 
 @pytest.mark.parametrize("fuel", ["0", "-5"])

@@ -26,9 +26,9 @@ from fixtures import (
     SCHEME_NESTED_INTERVAL,
     SCHEME_NESTED_NATINF,
     SCHEME_RECURSIVE,
-    capped,
     eval_tree_traced,
     sem_expr,
+    solve_capped,
 )
 
 NAT = make_domain(NatInf())
@@ -133,13 +133,21 @@ def test_check_levels_rejects_bad_witness(nested):
 
 # --- termination on stratified schemes ------------------------------------------------
 
-@pytest.mark.parametrize("text", [SCHEME_NESTED_NATINF, SCHEME_NESTED_INTERVAL],
-                         ids=["natinf", "interval"])
+# The nested schemes without v's clamp: v's values grow without bound, so
+# only widening makes them terminate.
+GROWING = [f"scheme {lattice}\nstart u {start}\n"
+           "point u = join (cell v (cell v (cell u ctx))) ctx\n"
+           "point v = join (apply inc (cell v ctx)) ctx\n"
+           for lattice, start in (("natinf", "0"), ("interval", "[0,0]"))]
+
+
+@pytest.mark.parametrize("text", [SCHEME_NESTED_NATINF, SCHEME_NESTED_INTERVAL, *GROWING],
+                         ids=["natinf", "interval", "natinf-growing", "interval-growing"])
 @pytest.mark.parametrize("solver", [tsmp, tstp])
 def test_stratified_schemes_terminate(text, solver):
     scheme = parse_scheme_file(text)
     system = instantiate_system(scheme)
-    result = solver(capped(system), scheme.start, scheme.ops)
+    result = solve_capped(solver, system, scheme.start, scheme.ops)
     assert result.status is SolveStatus.COMPLETED
     assert scheme.start in result.assignment.dom
     per_point = {}

@@ -1,10 +1,14 @@
 """Solver behavior on the worked systems plus corpus-level guarantees."""
 
+import contextlib
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latfix import (
     Answer,
+    CounterexampleCycle,
     EquationSystem,
     Query,
     SolveStatus,
@@ -29,9 +33,12 @@ from fixtures import (
     LIT5_NATINF,
     MONOTONE_CHAIN5,
     SCHEME_RECURSIVE,
-    capped,
+    counted,
     random_corpus,
+    solve_capped,
 )
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def values_of(result):
@@ -152,6 +159,62 @@ def test_warrow_constant():
 def test_warrow_rejects_zero_fuel(ex1):
     with pytest.raises(ValueError):
         warrow_solve(ex1.system, "y1", ex1.ops, 0)
+
+
+def test_warrow_runs_dry_before_requesting_an_unknown_variable(ex1):
+    # y2's right-hand side is requested at its first evaluation, which the
+    # fuel check comes before; requested at discovery it would raise.
+    system = EquationSystem({"y1": Query("y2", Answer)})
+    result = warrow_solve(system, "y1", ex1.ops, 1)
+    assert result.status is SolveStatus.FUEL_EXHAUSTED
+    assert result.assignment.dom == {"y1", "y2"}
+
+
+# --- fuel for tstp and tsmp ---------------------------------------------------------
+
+@pytest.mark.parametrize("solver", [tstp, tsmp])
+def test_fuel_stops_tstp_and_tsmp(ex5, solver):
+    unlimited = solver(ex5.system, "y1", ex5.ops)
+    assert unlimited.stats.fuel_used == 0
+    ample = solver(ex5.system, "y1", ex5.ops, fuel=unlimited.stats.rhs_evals)
+    assert ample.status is SolveStatus.COMPLETED
+    assert ample.assignment == unlimited.assignment
+    assert ample.stats.fuel_used == ample.stats.rhs_evals
+    short = solver(ex5.system, "y1", ex5.ops, fuel=2)
+    assert short.status is SolveStatus.FUEL_EXHAUSTED
+    assert short.stats.rhs_evals == short.stats.fuel_used == 2
+    # tstp ran dry in its widening phase, before sigma1 was started.
+    partial = short.sigma0 if solver is tstp else short.assignment
+    assert "y1" in partial
+    assert (short.sigma0 is not None) == (solver is tstp)
+    with pytest.raises(ValueError):
+        solver(ex5.system, "y1", ex5.ops, fuel=0)
+
+
+# --- one right-hand-side request per variable and solve ---------------------------
+
+def _max_requests(name, system, start, ops, variables=None):
+    system, requests = counted(system)
+    with contextlib.suppress(VarBudgetExceeded):
+        if name == "tsrr":
+            tsrr(variables, system, ops)
+        elif name == "warrow":
+            warrow_solve(system, start, ops, 200, var_budget=50)
+        else:
+            (tstp if name == "tstp" else tsmp)(system, start, ops, var_budget=50)
+    return max(requests.values())
+
+
+@pytest.mark.parametrize("name", ["tsrr", "tstp", "tsmp", "warrow"])
+def test_each_right_hand_side_is_requested_once_per_solve(name):
+    for gen in random_corpus(200):
+        assert _max_requests(name, gen.system, gen.variables[0], gen.ops,
+                             gen.variables) == 1
+    if name != "tsrr":
+        for path in sorted(SAMPLES.glob("*.sch")):
+            scheme = parse_scheme_file(path.read_text())
+            assert _max_requests(name, instantiate_system(scheme), scheme.start,
+                                 scheme.ops) == 1, path.name
 
 
 # --- budget ----------------------------------------------------------------------
@@ -317,7 +380,7 @@ def infinite_lattice_files(draw):
 def test_demand_driven_solvers_terminate_on_infinite_lattices(text):
     prog = parse_finite_file(text)
     for solver in (tstp, tsmp):
-        result = solver(capped(prog.system), prog.var_order[0], prog.ops)
+        result = solve_capped(solver, prog.system, prog.var_order[0], prog.ops)
         assert result.status is SolveStatus.COMPLETED
         assert is_closed(result.assignment, prog.system)
 
@@ -366,17 +429,49 @@ def stratified_scheme_files(draw):
     return "\n".join(lines) + "\n"
 
 
+# A same-level loop whose value grows without bound: only widening stops it.
+GROWING_LOOP = "point p0 = join ctx (apply inc (cell p0 ctx))\n"
+
+
 @settings(deadline=None)
 @given(stratified_scheme_files())
+@example("scheme natinf\nstart p0 0\n" + GROWING_LOOP)
+@example("scheme interval\nstart p0 [0,0]\n" + GROWING_LOOP)
 def test_demand_driven_solvers_terminate_on_stratified_schemes(text):
     scheme = parse_scheme_file(text)
     levels = check_stratified(scheme)
     assert isinstance(levels, dict) and check_levels(scheme, levels)
     system = instantiate_system(scheme)
     for solver in (tstp, tsmp):
-        result = solver(capped(system), scheme.start, scheme.ops, var_budget=5000)
+        result = solve_capped(solver, system, scheme.start, scheme.ops,
+                              var_budget=5000)
         assert result.status is SolveStatus.COMPLETED
         assert is_closed(result.assignment, system)
+
+
+# The converse: a demand-driven solver fails to terminate only by meeting
+# infinitely many variables.  Where calls keep making fresh contexts, a run
+# ends at the variable budget, never by running out of fuel.
+
+RUNAWAY_SCHEMES = [
+    (SAMPLES / "recursive.sch").read_text(),
+    "scheme natinf\nstart u 0\npoint u = cell u (apply add_const:2 ctx)\n",
+    "scheme natinf\nstart u 0\n"
+    "point u = join (apply inc (cell u ctx)) (cell u (apply add_const:2 ctx))\n",
+    "scheme natinf\nstart u 0\npoint u = cell v (apply inc ctx)\n"
+    "point v = join ctx (cell u ctx)\n",
+    "scheme interval\nstart u [0,0]\npoint u = join ctx (cell u (apply dec ctx))\n",
+]
+
+
+@pytest.mark.parametrize("text", RUNAWAY_SCHEMES)
+@pytest.mark.parametrize("solver", [tstp, tsmp])
+def test_only_infinitely_many_variables_defeat_termination(text, solver):
+    scheme = parse_scheme_file(text)
+    assert isinstance(check_stratified(scheme), CounterexampleCycle)
+    with pytest.raises(VarBudgetExceeded):
+        solver(instantiate_system(scheme), scheme.start, scheme.ops,
+               var_budget=50, fuel=10**5)
 
 
 def test_stats_are_deterministic(ex5):
