@@ -38,10 +38,10 @@ unknown variable reports that, not the unknown variable.  `tstp` and `tsmp`
 take an optional fuel as well; spending it ends the run with FUEL_EXHAUSTED
 and the partial assignments.
 
-Each solver's nested functions reference one another through their closure
-cells.  A solver empties those cells when it is done, so that reference
-counting frees its state at once instead of leaving it for the cycle
-collector, which runs rarely now that evaluation allocates little.
+The demand-driven solvers' nested functions reference one another through
+their closure cells.  A solver empties those cells when it is done, so that
+reference counting frees its state at once instead of leaving it for the
+cycle collector, which runs rarely now that evaluation allocates little.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ def warrow(ops: LatticeOps, a: Value, b: Value) -> Value:
 
 
 WIDEN, NARROW, WARROW, WARROW_LATE = range(4)
+_STALE = object()  # tsrr: no evaluation result to reuse (None can be a value)
 
 
 class _OutOfFuel(Exception):
@@ -133,48 +134,56 @@ def tsrr(variables, system: EquationSystem, ops: LatticeOps) -> SolverResult:
     lowest-priority variables are (re)stabilized before a higher one is
     re-evaluated.  The flag `b` records that a sound value has been reached
     for the variable under consideration, switching updates from widening to
-    narrowing.
+    narrowing.  The sweeps run as one loop, and a variable listed twice is a
+    ValueError.  A right-hand side is re-evaluated only once a variable its
+    last evaluation read has changed; right-hand sides are pure (see `eqsys`),
+    so until then that result stands.  The update rule still runs on every
+    level of every sweep, so only `rhs_evals` falls.
     """
     order = list(variables)
     n = len(order)
-    sigma = {v: ops.bot for v in order}
+    index: dict = {}  # variable -> level
+    for k, y in enumerate(order):
+        if index.setdefault(y, k) != k:
+            raise ValueError(f"variable {y!r} is listed twice")
     trees = [system.rhs(y) for y in order]  # each one is evaluated at least once
+    sigma = [ops.bot] * n
+    last = [_STALE] * n             # level -> its last evaluation's result
+    infl = [set() for _ in order]   # level -> levels that read it since it changed
+    flags = [False] * n             # level -> `b` of its current sweep
     stats = Stats(vars_encountered=n)
 
     def lookup(z):
-        try:
-            return sigma[z]
-        except KeyError:
-            raise UnknownVariableError(z) from None
+        t = index.get(z)
+        if t is None:
+            raise UnknownVariableError(z)
+        infl[t].add(reader)
+        return sigma[t]
 
-    def solve(b, i):
-        if i <= 0:
-            return
-        y = order[n - i]
-        while True:
-            solve(b, i - 1)
+    k = n - 1
+    while k >= 0:
+        new = last[k]
+        if new is _STALE:
             stats.rhs_evals += 1
-            tmp = eval_tree(trees[n - i], lookup)
-            b2 = b
-            if b:
-                tmp = ops.narrow(sigma[y], tmp)
-                stats.narrow_apps += 1
-            elif ops.leq(tmp, sigma[y]):
-                tmp = ops.narrow(sigma[y], tmp)
-                stats.narrow_apps += 1
-                b2 = True
-            else:
-                tmp = ops.widen(sigma[y], tmp)
-                stats.widen_apps += 1
-            if ops.eq(sigma[y], tmp):
-                return
-            sigma[y] = tmp
-            b = b2
-
-    solve(False, n)
-    # Break the closure cycle (see the module docstring).
-    del solve
-    return SolverResult(Assignment(ops, sigma), stats, SolveStatus.COMPLETED)
+            reader = k  # the level that lookup records as the reader
+            new = last[k] = eval_tree(trees[k], lookup)
+        old = sigma[k]
+        b = flags[k] or ops.leq(new, old)
+        if b:
+            new = ops.narrow(old, new)
+            stats.narrow_apps += 1
+        else:
+            new = ops.widen(old, new)
+            stats.widen_apps += 1
+        if not ops.eq(old, new):
+            sigma[k] = new
+            for r in infl[k]:
+                last[r] = _STALE
+            infl[k] = set()
+            flags[k:] = [b] * (n - k)  # a new sweep of k and every level below it
+            k = n
+        k -= 1  # stable: back to the level above; changed: to the last level
+    return SolverResult(Assignment(ops, dict(zip(order, sigma))), stats, SolveStatus.COMPLETED)
 
 
 def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None):

@@ -1,14 +1,19 @@
-"""Shared systems, trees and reference compilers used across the test modules."""
+"""Shared systems, trees, reference compilers and the reference `tsrr` for the tests."""
 
+import contextlib
 import random
+import sys
 from collections import Counter
 
 from latfix import (
     Answer,
+    Assignment,
     EquationSystem,
     Query,
     SchemeError,
+    SolverResult,
     SolveStatus,
+    Stats,
     UnknownVariableError,
     call_loop_system,
     eval_tree,
@@ -69,6 +74,34 @@ scheme natinf
 start u 0
 point u = cell u ctx
 """
+
+
+# y3's first evaluation reads only y1; once y1 reaches 2, y3 reads y2 as well,
+# so a later change of y2 must make y3's last result stale.
+ITE_READS_NATINF = """\
+lattice natinf
+var y1 = lit 2
+var y2 = meet (get y1) (lit 3)
+var y3 = ite (leq (lit 2) (get y1)) (inc (get y2)) (get y1)
+"""
+
+
+def ring_text(n):
+    """A natinf file whose variables y0 .. y{n-1} each read the next, in a ring."""
+    lines = ["lattice natinf"]
+    lines += [f"var y{i} = meet (inc (get y{(i + 1) % n})) (lit 50)" for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+@contextlib.contextmanager
+def default_recursion_limit():
+    """Run the body under Python's default recursion limit of 1,000 frames."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def branching_tree():
@@ -272,3 +305,61 @@ def reference_system(gen):
     """The generated system's equations as reference trees."""
     rhs = {v: reference_compile_dsl(e, gen.ops) for v, e in gen.exprs.items()}
     return EquationSystem(rhs, all_vars=gen.variables)
+
+
+# --- reference tsrr -------------------------------------------------------------
+#
+# The round-robin solver as it was before it reused results and ran as a loop:
+# it re-evaluates every right-hand side in every sweep and recurses one frame
+# per listed variable.  `tsrr` must agree with it on everything but
+# `rhs_evals`, which may only be lower.
+
+def reference_tsrr(variables, system, ops):
+    """Round-robin iteration over an ordered, finite variable list.
+
+    The first listed variable has the highest priority; in each sweep the
+    lowest-priority variables are (re)stabilized before a higher one is
+    re-evaluated.  The flag `b` records that a sound value has been reached
+    for the variable under consideration, switching updates from widening to
+    narrowing.
+    """
+    order = list(variables)
+    n = len(order)
+    sigma = {v: ops.bot for v in order}
+    trees = [system.rhs(y) for y in order]  # each one is evaluated at least once
+    stats = Stats(vars_encountered=n)
+
+    def lookup(z):
+        try:
+            return sigma[z]
+        except KeyError:
+            raise UnknownVariableError(z) from None
+
+    def solve(b, i):
+        if i <= 0:
+            return
+        y = order[n - i]
+        while True:
+            solve(b, i - 1)
+            stats.rhs_evals += 1
+            tmp = eval_tree(trees[n - i], lookup)
+            b2 = b
+            if b:
+                tmp = ops.narrow(sigma[y], tmp)
+                stats.narrow_apps += 1
+            elif ops.leq(tmp, sigma[y]):
+                tmp = ops.narrow(sigma[y], tmp)
+                stats.narrow_apps += 1
+                b2 = True
+            else:
+                tmp = ops.widen(sigma[y], tmp)
+                stats.widen_apps += 1
+            if ops.eq(sigma[y], tmp):
+                return
+            sigma[y] = tmp
+            b = b2
+
+    solve(False, n)
+    # Break the closure cycle.
+    del solve
+    return SolverResult(Assignment(ops, sigma), stats, SolveStatus.COMPLETED)

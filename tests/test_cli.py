@@ -28,6 +28,8 @@ from fixtures import (
     SCHEME_CTX_SELF,
     SCHEME_NESTED_NATINF,
     SCHEME_RECURSIVE,
+    default_recursion_limit,
+    ring_text,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -285,6 +287,14 @@ def test_solve_recursion_limit_exit_at_default_budget(tmp_path, capsys, solver):
     assert code == EXIT_BUDGET
     assert out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_tsrr_solves_rings_deeper_than_the_recursion_limit(tmp_path):
+    path = write(tmp_path, "ring.lat", ring_text(1500))
+    with default_recursion_limit():
+        code, out = run_cli("solve", "tsrr", path, "--json")
+    assert code == EXIT_OK
+    assert set(json.loads(out)["assignment"].values()) == {"50"}
 
 
 def test_solve_scheme_with_start_override(tmp_path):

@@ -30,11 +30,15 @@ from fixtures import (
     EX1_CHAIN4,
     EX1_NATINF,
     EX5_NATINF,
+    ITE_READS_NATINF,
     LIT5_NATINF,
     MONOTONE_CHAIN5,
     SCHEME_RECURSIVE,
     counted,
+    default_recursion_limit,
     random_corpus,
+    reference_tsrr,
+    ring_text,
     solve_capped,
 )
 
@@ -86,6 +90,46 @@ def test_tsrr_unknown_variable_is_reported(ex1):
     with pytest.raises(UnknownVariableError) as err:
         tsrr(["y1"], system, ex1.ops)
     assert err.value.var == "ghost"
+
+
+def test_tsrr_rejects_a_variable_listed_twice(ex5):
+    with pytest.raises(ValueError, match="'y1'"):
+        tsrr(["y1", "y2", "y1"], ex5.system, ex5.ops)
+
+
+def _agrees_with_reference(variables, system, ops):
+    """tsrr's and the recursive reference's results, once all but `rhs_evals` agree."""
+    result = tsrr(variables, system, ops)
+    reference = reference_tsrr(variables, system, ops)
+    assert list(result.assignment.items()) == list(reference.assignment.items())
+    assert result.status is reference.status
+    for field in ("vars_encountered", "widen_apps", "narrow_apps", "fuel_used"):
+        assert getattr(result.stats, field) == getattr(reference.stats, field)
+    assert result.stats.rhs_evals <= reference.stats.rhs_evals
+    return result, reference
+
+
+def test_tsrr_agrees_with_recursive_reference():
+    runs = [_agrees_with_reference(gen.variables, gen.system, gen.ops)
+            for gen in random_corpus(500)]
+    for path in sorted(SAMPLES.glob("*.lat")):
+        prog = parse_finite_file(path.read_text())
+        runs.append(_agrees_with_reference(prog.var_order, prog.system, prog.ops))
+    assert (sum(result.stats.rhs_evals for result, _ in runs)
+            < sum(reference.stats.rhs_evals for _, reference in runs))
+
+
+def test_tsrr_follows_reads_that_a_branch_changes():
+    prog = parse_finite_file(ITE_READS_NATINF)
+    result, _ = _agrees_with_reference(prog.var_order, prog.system, prog.ops)
+    assert values_of(result) == {"y1": 2, "y2": 3, "y3": 4}
+
+
+def test_tsrr_solves_rings_deeper_than_the_recursion_limit():
+    prog = parse_finite_file(ring_text(1500))
+    with default_recursion_limit():
+        result = tsrr(prog.var_order, prog.system, prog.ops)
+    assert set(values_of(result).values()) == {50}
 
 
 # --- tstp -------------------------------------------------------------------------
