@@ -329,16 +329,52 @@ def check_sigma_closed(conc: ConcreteSystem, solution, subset) -> bool:
 
 # --- monotonicity ------------------------------------------------------------
 
+class _Fork(Exception):
+    """A replay in `_reads` reached a variable its path has not read yet."""
+
+
+def _reads(tree: Tree, ops: LatticeOps, budget: _Budget) -> set:
+    """The variables the tree reads under some assignment of `ops`' values.
+
+    Walks the tree's query paths: each replay answers a path's reads with the
+    values chosen for them, and at its first fresh read the path forks over
+    every value.  A variable read again on a path keeps its first value.
+    """
+    values = ops.values()
+    reads = set()
+    paths = [()]
+    while paths:
+        prefix = paths.pop()
+        chosen: dict = {}
+
+        def lookup(z):
+            if z not in chosen:
+                if len(chosen) == len(prefix):
+                    raise _Fork(z)
+                chosen[z] = prefix[len(chosen)]
+            return chosen[z]
+
+        budget.spend()
+        try:
+            eval_tree(tree, lookup)
+        except _Fork as fork:
+            reads.add(fork.args[0])
+            paths.extend(prefix + (w,) for w in values)
+    return reads
+
+
 def rhs_monotone(tree: Tree, variables, ops: LatticeOps, *,
                  eval_budget: int = DEFAULT_EVAL_BUDGET) -> bool:
     """Exhaustive monotonicity check, one raised coordinate at a time.
 
     Raising single coordinates suffices: any two comparable assignments are
-    linked by a chain of single-coordinate raises.
+    linked by a chain of single-coordinate raises.  Only the variables that
+    some query path reads are enumerated, since the value depends on no other.
     """
-    variables = list(variables)
     all_values = ops.values()
     budget = _Budget(eval_budget)
+    reads = _reads(tree, ops, budget)
+    variables = [v for v in variables if v in reads]
     for combo in itertools.product(all_values, repeat=len(variables)):
         sigma = dict(zip(variables, combo))
         budget.spend()

@@ -134,11 +134,21 @@ def tsrr(variables, system: EquationSystem, ops: LatticeOps) -> SolverResult:
     lowest-priority variables are (re)stabilized before a higher one is
     re-evaluated.  The flag `b` records that a sound value has been reached
     for the variable under consideration, switching updates from widening to
-    narrowing.  The sweeps run as one loop, and a variable listed twice is a
-    ValueError.  A right-hand side is re-evaluated only once a variable its
-    last evaluation read has changed; right-hand sides are pure (see `eqsys`),
-    so until then that result stands.  The update rule still runs on every
-    level of every sweep, so only `rhs_evals` falls.
+    narrowing.  A variable listed twice is a ValueError.
+
+    The rule runs on a level (a listed variable's index) only while it is
+    unsettled.  A level settles when the rule leaves its value unchanged and
+    stays settled while nothing its last evaluation read changes (right-hand
+    sides are pure, see `eqsys`, so that result is reused), its own value
+    stands and so does the operator: the rule narrows whatever the flag if
+    the result is below the value, else the flag alone picks, so the level is
+    parked by its flag until a sweep flips it.  The sweeps reach level k just
+    after every larger level was found stable, and only a change unsettles a
+    level; so the next step that can change anything is at the largest
+    unsettled level, taken from a max-heap.  With deterministic lattice
+    operations, the steps skipped are exactly those that would keep the old
+    value: assignments and evaluations, in order, are the full sweeps', and
+    only `widen_apps` and `narrow_apps` fall.
     """
     order = list(variables)
     n = len(order)
@@ -151,6 +161,9 @@ def tsrr(variables, system: EquationSystem, ops: LatticeOps) -> SolverResult:
     last = [_STALE] * n             # level -> its last evaluation's result
     infl = [set() for _ in order]   # level -> levels that read it since it changed
     flags = [False] * n             # level -> `b` of its current sweep
+    work = list(range(1 - n, 1))    # unsettled levels, negated: a max-heap
+    parked = ([], [])               # flag -> heap of (-level, stamp) settled by it alone
+    stamp = [0] * n                 # level -> rule applications, to spot stale entries
     stats = Stats(vars_encountered=n)
 
     def lookup(z):
@@ -160,29 +173,41 @@ def tsrr(variables, system: EquationSystem, ops: LatticeOps) -> SolverResult:
         infl[t].add(reader)
         return sigma[t]
 
-    k = n - 1
-    while k >= 0:
+    while work:
+        k = -heappop(work)
+        while work and work[0] == -k:  # a level unsettled twice is one step
+            heappop(work)
+        stamp[k] += 1
         new = last[k]
         if new is _STALE:
             stats.rhs_evals += 1
             reader = k  # the level that lookup records as the reader
             new = last[k] = eval_tree(trees[k], lookup)
         old = sigma[k]
-        b = flags[k] or ops.leq(new, old)
+        below = ops.leq(new, old)
+        b = flags[k] or below
         if b:
             new = ops.narrow(old, new)
             stats.narrow_apps += 1
         else:
             new = ops.widen(old, new)
             stats.widen_apps += 1
-        if not ops.eq(old, new):
-            sigma[k] = new
-            for r in infl[k]:
-                last[r] = _STALE
-            infl[k] = set()
-            flags[k:] = [b] * (n - k)  # a new sweep of k and every level below it
-            k = n
-        k -= 1  # stable: back to the level above; changed: to the last level
+        if ops.eq(old, new):
+            if not below:
+                heappush(parked[b], (-k, stamp[k]))
+            continue
+        sigma[k] = new
+        for r in infl[k]:
+            last[r] = _STALE
+            heappush(work, -r)
+        infl[k] = set()
+        flags[k:] = [b] * (n - k)  # a new sweep of k and every level below it
+        heappush(work, -k)  # the rule may move k again, as narrowing after widening
+        flipped = parked[not b]
+        while flipped and flipped[0][0] < -k:
+            j, s = heappop(flipped)
+            if stamp[-j] == s:
+                heappush(work, j)
     return SolverResult(Assignment(ops, dict(zip(order, sigma))), stats, SolveStatus.COMPLETED)
 
 

@@ -396,6 +396,17 @@ def test_verify_tsrr_monotone_all_pass(tmp_path):
     assert "post-solution (original): pass\n" in out
 
 
+def test_verify_tsrr_checks_monotonicity_over_the_variables_read(tmp_path):
+    # Each right-hand side reads one of nine variables, so monotonicity is
+    # checked over 4 assignments per variable, not the budget-breaking 4**9.
+    lines = ["lattice chain 4"]
+    lines += [f"var y{i} = join (get y{i % 9 + 1}) (lit 1)" for i in range(1, 10)]
+    path = write(tmp_path, "m.lat", "\n".join(lines) + "\n")
+    code, out = run_cli("verify", "tsrr", path)
+    assert code == EXIT_OK
+    assert "post-solution (original): pass\n" in out
+
+
 def test_verify_tstp_checks_both_phases(tmp_path):
     path = str(SAMPLES / "flipflop_chain4.lat")
     code, out = run_cli("verify", "tstp", path, "--json")

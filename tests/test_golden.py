@@ -1,9 +1,10 @@
 """Golden pin: solver results and CLI output must not change under refactoring.
 
 The corpus and CLI renderings are pinned twice.  The results digest masks
-the evaluation counts (`rhs_evals` and the CLI's `"evals"`), so a change
-that only saves evaluations keeps it; everything else in it is as pinned
-before the demand-driven solvers were folded into one core.  The full
+the evaluation counts (`rhs_evals` and the CLI's `"evals"`), and on `tsrr`'s
+lines also its widen/narrow counts, so a change that only saves evaluations
+or `tsrr`'s operator applications keeps it; everything else in it is as
+pinned before the demand-driven solvers were folded into one core.  The full
 digest pins every byte, counts included, and is re-taken when a change
 lowers a count on purpose.
 The scheme digest was taken before both input languages were parsed,
@@ -13,7 +14,7 @@ rendered scheme or stratification outcome below fails here; a deliberate
 change of behaviour must say so and pin new digests.
 
 `python tests/test_golden.py` (with `src` on `PYTHONPATH`) prints the
-current digests, for re-pinning.
+current digests and each solver's count totals, for re-pinning.
 """
 
 import dataclasses
@@ -31,10 +32,10 @@ from fixtures import capped, random_corpus
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
-CORPUS_RESULTS_DIGEST = "7429ff01ba1439632a7b0b4606601955e1a3a6cde0fa8c6bfa50d180b253cfe3"
-CORPUS_DIGEST = "2ddb010c285c4b2e20d25ee13ede8b01b9f4b8fd48faeb24f1e252781758fe77"
-CLI_RESULTS_DIGEST = "ee56aa7442823bc31486727e922868472b60687a2d9b491eed4ab0c5cf509be8"
-CLI_DIGEST = "715c27da91dd0dc3da2baac2b1fa4ebeef6b009a782173dc6ec51e833bc46cf6"
+CORPUS_RESULTS_DIGEST = "ba3a557c6f069133f081a784233f498d43338b7c0fbe0886615fb0ae9ee6dd09"
+CORPUS_DIGEST = "0f9782a587415e141032f82128380aabdcd2a495041fefc9824c2777ceb80285"
+CLI_RESULTS_DIGEST = "d08c5b98c70eef6cc517a83035f2b9fcfc250df01d5b19db776c071ee2cb4955"
+CLI_DIGEST = "c4b1fc4a7cd19943bd592c41f4cb0bd2eb75c107f0392922f418dc9e625072bf"
 SCHEME_DIGEST = "df5dc092e545665895793aab20e722074a37884f37b08d0ba23cbc9744a12d4d"
 
 
@@ -163,11 +164,30 @@ def _digest(text):
 
 
 _EVAL_COUNTS = re.compile(r'(rhs_evals=|"evals": )\d+')
+_TSRR_COUNTS = re.compile(r'((?:rhs_evals|widen_apps|narrow_apps)=|'
+                          r'"(?:evals|widen_apps|narrow_apps)": )\d+')
+_COUNTS = re.compile(r'"?(rhs_evals|evals|widen_apps|narrow_apps)"?(?:=|: )(\d+)')
+
+
+def _solver(line):
+    return line.split("|", 2)[1]  # corpus `<index>|<solver>|…`, CLI `<file>|<solver>|…`
 
 
 def _masked(text):
-    """`text` with its evaluation counts replaced by `*`."""
-    return _EVAL_COUNTS.sub(r"\1*", text)
+    """`text` with its evaluation counts, and `tsrr`'s widen/narrow counts, as `*`."""
+    return "\n".join((_TSRR_COUNTS if _solver(line) == "tsrr" else _EVAL_COUNTS)
+                     .sub(r"\1*", line) for line in text.split("\n"))
+
+
+def count_totals(text):
+    """Per-solver totals of `rhs_evals`, `widen_apps` and `narrow_apps` in `text`."""
+    totals: dict = {}
+    for line in text.split("\n"):
+        row = totals.setdefault(_solver(line), dict.fromkeys(
+            ("rhs_evals", "widen_apps", "narrow_apps"), 0))
+        for name, count in _COUNTS.findall(line):
+            row["rhs_evals" if name == "evals" else name] += int(count)
+    return totals
 
 
 def test_solver_results_over_random_corpus_are_pinned():
@@ -191,4 +211,6 @@ if __name__ == "__main__":
         text = render()
         print(f'{name}_RESULTS_DIGEST = "{_digest(_masked(text))}"')
         print(f'{name}_DIGEST = "{_digest(text)}"')
+        for solver, row in count_totals(text).items():
+            print(f"  {solver}: " + ", ".join(f"{k}={v:,}" for k, v in row.items()))
     print(f'SCHEME_DIGEST = "{_digest(scheme_rendering())}"')

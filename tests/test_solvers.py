@@ -34,6 +34,7 @@ from fixtures import (
     LIT5_NATINF,
     MONOTONE_CHAIN5,
     SCHEME_RECURSIVE,
+    capped,
     counted,
     default_recursion_limit,
     random_corpus,
@@ -98,14 +99,15 @@ def test_tsrr_rejects_a_variable_listed_twice(ex5):
 
 
 def _agrees_with_reference(variables, system, ops):
-    """tsrr's and the recursive reference's results, once all but `rhs_evals` agree."""
+    """tsrr's and the recursive reference's results, once they agree and tsrr costs no more."""
     result = tsrr(variables, system, ops)
     reference = reference_tsrr(variables, system, ops)
     assert list(result.assignment.items()) == list(reference.assignment.items())
     assert result.status is reference.status
-    for field in ("vars_encountered", "widen_apps", "narrow_apps", "fuel_used"):
+    for field in ("vars_encountered", "fuel_used"):
         assert getattr(result.stats, field) == getattr(reference.stats, field)
-    assert result.stats.rhs_evals <= reference.stats.rhs_evals
+    for field in ("rhs_evals", "widen_apps", "narrow_apps"):
+        assert getattr(result.stats, field) <= getattr(reference.stats, field)
     return result, reference
 
 
@@ -115,8 +117,9 @@ def test_tsrr_agrees_with_recursive_reference():
     for path in sorted(SAMPLES.glob("*.lat")):
         prog = parse_finite_file(path.read_text())
         runs.append(_agrees_with_reference(prog.var_order, prog.system, prog.ops))
-    assert (sum(result.stats.rhs_evals for result, _ in runs)
-            < sum(reference.stats.rhs_evals for _, reference in runs))
+    for field in ("rhs_evals", "narrow_apps"):
+        assert (sum(getattr(result.stats, field) for result, _ in runs)
+                < sum(getattr(reference.stats, field) for _, reference in runs))
 
 
 def test_tsrr_follows_reads_that_a_branch_changes():
@@ -125,11 +128,34 @@ def test_tsrr_follows_reads_that_a_branch_changes():
     assert values_of(result) == {"y1": 2, "y2": 3, "y3": 4}
 
 
+def test_tsrr_reopens_a_level_when_a_sweep_flips_its_flag():
+    # y2's narrowing sweep leaves y3 at 1 although its result inf is not
+    # below 1: the flag alone keeps it.  y1's widening then starts a sweep
+    # with the flag unset, under which y3 widens to inf.
+    prog = parse_finite_file(
+        "lattice natinf\nvar y1 = lit 2\nvar y2 = lit 5\n"
+        "var y3 = ite (leq (lit inf) (get y2)) (lit 1) (lit inf)\n")
+    result, _ = _agrees_with_reference(prog.var_order, prog.system, prog.ops)
+    assert values_of(result) == {"y1": 2, "y2": 5, "y3": INF}
+
+
 def test_tsrr_solves_rings_deeper_than_the_recursion_limit():
     prog = parse_finite_file(ring_text(1500))
     with default_recursion_limit():
         result = tsrr(prog.var_order, prog.system, prog.ops)
     assert set(values_of(result).values()) == {50}
+
+
+def test_tsrr_ring_costs_grow_linearly():
+    # Each change re-applies the rule only where it can reach: the full
+    # sweeps applied it some n * n times here.
+    n = 10_000
+    prog = parse_finite_file(ring_text(n))
+    result = tsrr(prog.var_order, prog.system, prog.ops)
+    assert set(values_of(result).values()) == {50}
+    assert result.stats.rhs_evals == n + 51
+    assert result.stats.widen_apps <= n + 100
+    assert result.stats.narrow_apps <= 3 * n
 
 
 # --- tstp -------------------------------------------------------------------------
@@ -427,6 +453,17 @@ def test_demand_driven_solvers_terminate_on_infinite_lattices(text):
         result = solve_capped(solver, prog.system, prog.var_order[0], prog.ops)
         assert result.status is SolveStatus.COMPLETED
         assert is_closed(result.assignment, prog.system)
+
+
+@settings(deadline=None)
+@given(infinite_lattice_files(), st.randoms(use_true_random=False))
+def test_tsrr_agrees_with_reference_on_infinite_lattices(text, rng):
+    # Real widening and narrowing, where a level settled by its flag alone
+    # must be re-opened when a later sweep flips the flag.
+    prog = parse_finite_file(text)
+    variables = list(prog.var_order)
+    rng.shuffle(variables)
+    _agrees_with_reference(variables, capped(prog.system), prog.ops)
 
 
 # Stratified schemes: a cell to a point at the caller's level passes exactly
