@@ -1,17 +1,18 @@
 """Golden pin: solver results and CLI output must not change under refactoring.
 
-The corpus and CLI renderings are pinned twice.  The results digest masks
-the evaluation counts (`rhs_evals` and the CLI's `"evals"`), and on `tsrr`'s
-lines also its widen/narrow counts, so a change that only saves evaluations
-or `tsrr`'s operator applications keeps it; everything else in it is as
-pinned before the demand-driven solvers were folded into one core.  The full
-digest pins every byte, counts included, and is re-taken when a change
-lowers a count on purpose.
-The scheme digest was taken before both input languages were parsed,
-rendered and compiled through one expression IR.  A change that alters any
-assignment, `sigma0`, other `Stats` field, status, CLI byte, exit code,
-rendered scheme or stratification outcome below fails here; a deliberate
-change of behaviour must say so and pin new digests.
+The corpus, CLI and scheme renderings are pinned twice.  The results digest
+masks the evaluation counts (`rhs_evals` and the CLI's `"evals"`), on `tsrr`'s
+lines also its widen/narrow counts and on `tstp`'s its narrow counts, so a
+change that only saves evaluations, `tsrr`'s operator applications or
+`tstp`'s narrowings keeps it; everything else in the corpus and CLI ones is
+as pinned before the demand-driven solvers were folded into one core, and
+in the scheme one as pinned before both input languages were parsed,
+rendered and compiled through one expression IR.  The full digest pins every
+byte, counts included, and is re-taken when a change lowers a count on
+purpose.  A change that alters any assignment, `sigma0`, other `Stats`
+field, status, CLI byte, exit code, rendered scheme or stratification
+outcome below fails here; a deliberate change of behaviour must say so and
+pin new digests.
 
 `python tests/test_golden.py` (with `src` on `PYTHONPATH`) prints the
 current digests and each solver's count totals, for re-pinning.
@@ -32,10 +33,11 @@ from fixtures import capped, random_corpus
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
-CORPUS_RESULTS_DIGEST = "ba3a557c6f069133f081a784233f498d43338b7c0fbe0886615fb0ae9ee6dd09"
+CORPUS_RESULTS_DIGEST = "6e88b943f967fb78280660b8d0363a6bd672039df3551af34c4295262ea2e6f6"
 CORPUS_DIGEST = "0f9782a587415e141032f82128380aabdcd2a495041fefc9824c2777ceb80285"
-CLI_RESULTS_DIGEST = "d08c5b98c70eef6cc517a83035f2b9fcfc250df01d5b19db776c071ee2cb4955"
+CLI_RESULTS_DIGEST = "d47baaeb3cf74b5de6113f33a0b66c6d04a640f645de2fd83ac9ec63512df965"
 CLI_DIGEST = "c4b1fc4a7cd19943bd592c41f4cb0bd2eb75c107f0392922f418dc9e625072bf"
+SCHEME_RESULTS_DIGEST = "768bc9fbf42766877b49222bd868102a2395aec5be0d9adf770acd5921fedaad"
 SCHEME_DIGEST = "df5dc092e545665895793aab20e722074a37884f37b08d0ba23cbc9744a12d4d"
 
 
@@ -164,8 +166,11 @@ def _digest(text):
 
 
 _EVAL_COUNTS = re.compile(r'(rhs_evals=|"evals": )\d+')
-_TSRR_COUNTS = re.compile(r'((?:rhs_evals|widen_apps|narrow_apps)=|'
-                          r'"(?:evals|widen_apps|narrow_apps)": )\d+')
+_MASKS = {
+    "tsrr": re.compile(r'((?:rhs_evals|widen_apps|narrow_apps)=|'
+                       r'"(?:evals|widen_apps|narrow_apps)": )\d+'),
+    "tstp": re.compile(r'((?:rhs_evals|narrow_apps)=|"(?:evals|narrow_apps)": )\d+'),
+}
 _COUNTS = re.compile(r'"?(rhs_evals|evals|widen_apps|narrow_apps)"?(?:=|: )(\d+)')
 
 
@@ -174,18 +179,22 @@ def _solver(line):
 
 
 def _masked(text):
-    """`text` with its evaluation counts, and `tsrr`'s widen/narrow counts, as `*`."""
-    return "\n".join((_TSRR_COUNTS if _solver(line) == "tsrr" else _EVAL_COUNTS)
-                     .sub(r"\1*", line) for line in text.split("\n"))
+    """`text` with its evaluation counts, `tsrr`'s widen/narrow counts and
+    `tstp`'s narrow counts as `*`."""
+    return "\n".join(_MASKS.get(_solver(line), _EVAL_COUNTS).sub(r"\1*", line)
+                     for line in text.split("\n"))
 
 
 def count_totals(text):
     """Per-solver totals of `rhs_evals`, `widen_apps` and `narrow_apps` in `text`."""
     totals: dict = {}
     for line in text.split("\n"):
+        counts = _COUNTS.findall(line)
+        if not counts:
+            continue
         row = totals.setdefault(_solver(line), dict.fromkeys(
             ("rhs_evals", "widen_apps", "narrow_apps"), 0))
-        for name, count in _COUNTS.findall(line):
+        for name, count in counts:
             row["rhs_evals" if name == "evals" else name] += int(count)
     return totals
 
@@ -203,14 +212,16 @@ def test_cli_solve_output_over_samples_is_pinned():
 
 
 def test_scheme_results_over_seeded_texts_are_pinned():
-    assert _digest(scheme_rendering()) == SCHEME_DIGEST
+    text = scheme_rendering()
+    assert _digest(_masked(text)) == SCHEME_RESULTS_DIGEST
+    assert _digest(text) == SCHEME_DIGEST
 
 
 if __name__ == "__main__":
-    for name, render in [("CORPUS", corpus_rendering), ("CLI", cli_rendering)]:
+    for name, render in [("CORPUS", corpus_rendering), ("CLI", cli_rendering),
+                         ("SCHEME", scheme_rendering)]:
         text = render()
         print(f'{name}_RESULTS_DIGEST = "{_digest(_masked(text))}"')
         print(f'{name}_DIGEST = "{_digest(text)}"')
         for solver, row in count_totals(text).items():
             print(f"  {solver}: " + ", ".join(f"{k}={v:,}" for k, v in row.items()))
-    print(f'SCHEME_DIGEST = "{_digest(scheme_rendering())}"')
