@@ -40,7 +40,6 @@ from .interproc import (
     CounterexampleCycle,
     Scheme,
     SchemeError,
-    check_levels,
     check_stratified,
     instantiate_system,
     resolve_builtin,

@@ -634,8 +634,9 @@ def _build_parser():
             p.add_argument("solver", choices=SOLVERS)
         p.add_argument("file")
         p.add_argument("--fuel", type=_positive_int, default=None,
-                       help="evaluation fuel; tstp and tsmp run without a limit "
-                       f"unless it is given, warrow defaults to {DEFAULT_FUEL}")
+                       help="fuel in right-hand-side evaluations (a reused result "
+                       "is none); tstp and tsmp run without a limit unless it "
+                       f"is given, warrow defaults to {DEFAULT_FUEL}")
         p.add_argument("--start", default=None,
                        help="start override: VAR (finite) or POINT:VALUE (scheme)")
         p.add_argument("--var-budget", type=_positive_int,

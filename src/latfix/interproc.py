@@ -269,17 +269,3 @@ def check_stratified(scheme: Scheme):
                 best = max(best, level[scc_of[u2]] + (1 if strict else 0))
         level[i] = best
     return {u: level[scc_of[u]] for u in scheme.points}
-
-
-def check_levels(scheme: Scheme, levels: dict) -> bool:
-    """Independent check of the stratification invariants for a witness."""
-    for u in scheme.points:
-        if u not in levels:
-            return False
-        for caller, callee, strict in _cell_edges(u, scheme.rhs[u]):
-            if levels[callee] == levels[caller]:
-                if strict:
-                    return False
-            elif levels[callee] >= levels[caller]:
-                return False
-    return True

@@ -4,31 +4,29 @@ Four engines over one equation-system interface:
 
   tsrr          structured round-robin iteration over an explicit variable
                 list, with a soundness flag steering narrowing vs widening
-  tstp          demand-driven two-phase solver: a widening pass over sigma0
-                followed by a narrowing pass over sigma1, sharing priorities,
-                influence sets, and the work queue
+  tstp          demand-driven two-phase solver: widening into sigma0, then
+                narrowing into sigma1, sharing priorities, influence and queue
   tsmp          demand-driven mixed-phase solver interleaving both modes per
                 variable, guided by a Boolean phase flag
   warrow_solve  fuel-limited baseline on the tsmp skeleton that replaces the
                 phase flags with the derived warrowing operator
 
 The last three are drivers over one demand-driven core, `_demand`.  It gives
-each variable a dense int slot in discovery order (0, 1, 2, ...), and the
-slot's negation is its priority.  Influence sets, the set of points, the work
-queue and the drivers' assignments all hold slots, so a look-up hashes its
-variable once, to find its slot; the results are renamed back to variables.
-The core detects widening/narrowing points dynamically (a variable queried at
-priority not below its querier's), keeps a priority queue with set semantics,
-and applies one update rule.  At points the driver's mode picks the operator:
-WIDEN widens (tstp's phase 0); NARROW narrows, and other variables take the
-meet, so values only descend (tstp's phase 1, tsmp with its flag set); WARROW
-narrows if the new value is below the old one and widens otherwise (tsmp with
-its flag unset; narrowing sets the flag).  WARROW_LATE (warrow_solve) is
-WARROW with point membership sampled after the evaluation, so a
-self-dependency found by that very evaluation already counts.  This lets the
-operator flip between widening and narrowing forever on non-monotonic
-systems, which is the divergence warrow_solve exists to exhibit, and why it
-runs on fuel.
+each variable a dense int slot in discovery order, whose negation is its
+priority.  Influence sets, the set of points, the work queue and the drivers'
+assignments all hold slots, so a look-up hashes its variable once, to find its
+slot; the results are renamed back to variables.  The core detects
+widening/narrowing points dynamically (a variable queried at priority not
+below its querier's), keeps a priority queue with set semantics, and applies
+one update rule.  At points the driver's mode picks the operator: WIDEN widens
+(tstp's phase 0); NARROW narrows, and other variables take the meet, so values
+only descend (tstp's phase 1, tsmp with its flag set); WARROW narrows if the
+new value is below the old one and widens otherwise (tsmp with its flag unset;
+narrowing sets the flag).  WARROW_LATE (warrow_solve) is WARROW with point
+membership sampled after the evaluation, so a self-dependency found by that
+very evaluation already counts.  This lets the operator flip between widening
+and narrowing forever on non-monotonic systems, which is the divergence
+warrow_solve exists to exhibit, and why it runs on fuel.
 
 A look-up calls the driver's solve only for a variable not yet in the
 assignment it reads.  Every solver requests a variable's right-hand side
@@ -38,10 +36,20 @@ unknown variable reports that, not the unknown variable.  `tstp` and `tsmp`
 take an optional fuel as well; spending it ends the run with FUEL_EXHAUSTED
 and the partial assignments.
 
+tstp's phase 1 reuses results.  A WIDEN evaluation leaves its (variable,
+value) reads and result as its variable's record; a NARROW evaluation of a
+variable with a record replays those reads, in order, through the phase-1
+look-up with its first-touch solving, point marking and influence
+registration.  Right-hand sides are pure (see `eqsys`), so while the values
+are as recorded the program would make these very look-ups; if all are, the
+recorded result is reused and the record kept, which is no evaluation and
+spends no fuel.  At the first value that differs the record is dropped and
+the program runs, its first reads fed the values already read.
+
 The demand-driven solvers' nested functions reference one another through
 their closure cells.  A solver empties those cells when it is done, so that
 reference counting frees its state at once instead of leaving it for the
-cycle collector, which runs rarely now that evaluation allocates little.
+rarely run cycle collector.
 """
 
 from __future__ import annotations
@@ -91,7 +99,7 @@ def warrow(ops: LatticeOps, a: Value, b: Value) -> Value:
 
 
 WIDEN, NARROW, WARROW, WARROW_LATE = range(4)
-_STALE = object()  # tsrr: no evaluation result to reuse (None can be a value)
+_STALE = object()  # no evaluation result to reuse (None can be a value)
 
 
 class _OutOfFuel(Exception):
@@ -217,6 +225,8 @@ def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None)
     Returns (infl, queue, discover, requeue, reading, do_var, result).
     The drivers own the assignments, whose keys are the slots solved into
     them.  Once `fuel` evaluations are spent, do_var raises _OutOfFuel.
+    do_var keeps and replays the reads a recording look-up (tstp's phase 0)
+    stacks in `reads`: a replay makes the program's look-ups, in its order.
     """
     if fuel is not None and fuel < 1:
         raise ValueError("fuel must be >= 1")
@@ -228,6 +238,8 @@ def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None)
     queue = _PrioQueue()
     stats = Stats()
     reader = None  # the slot whose right-hand side is being evaluated
+    reads: list = []        # (variable, value) read by the WIDEN evaluations under way
+    recorded: dict = {}     # slot -> (reads, result): its record, while replays match
 
     def discover(y):
         t = len(variables)
@@ -244,8 +256,9 @@ def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None)
             queue.insert(-u, u)
         infl[t] = set()
 
-    def reading(sigma, solve):
+    def reading(sigma, solve, record=False):
         # One look-up per assignment; solve(t, n) gets the reader's priority n.
+        # A recording one (tstp's phase 0) also pushes its reads on `reads`.
         def lookup(z):
             r = reader
             t = slot.get(z)
@@ -258,7 +271,16 @@ def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None)
             infl[t].add(r)
             return sigma[t]
 
-        return lookup
+        def recording(z):
+            d = lookup(z)
+            reads.append((z, d))
+            return d
+
+        return recording if record else lookup
+
+    def feeding(fed, lookup):
+        # `lookup`, but its first reads get the values of the iterator `fed`.
+        return lambda z: d if (d := next(fed, _STALE)) is not _STALE else lookup(z)
 
     def do_var(t, sigma, mode, lookup):
         """Re-evaluate t; True if stable, narrowed or in NARROW mode (sound)."""
@@ -266,14 +288,27 @@ def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None)
         if mode != WARROW_LATE:
             isp = t in point
             point.discard(t)
-        if stats.rhs_evals == fuel:
-            raise _OutOfFuel
-        stats.rhs_evals += 1
-        tree = trees[t]
-        if tree is None:
-            tree = trees[t] = system.rhs(variables[t])
         outer, reader = reader, t
-        new = eval_tree(tree, lookup)
+        seen, new = recorded.get(t, ((), _STALE)) if mode == NARROW else ((), _STALE)
+        for i, (z, d) in enumerate(seen):  # replay t's record
+            v = lookup(z)
+            if v != d:
+                new = _STALE
+                del recorded[t]
+                lookup = feeding(iter([d for _, d in seen[:i]] + [v]), lookup)
+                break
+        if new is _STALE:
+            if stats.rhs_evals == fuel:
+                raise _OutOfFuel
+            stats.rhs_evals += 1
+            tree = trees[t]
+            if tree is None:
+                tree = trees[t] = system.rhs(variables[t])
+            mark = len(reads)
+            new = eval_tree(tree, lookup)
+            if mode == WIDEN:
+                recorded[t] = reads[mark:], new
+                del reads[mark:]
         reader = outer
         if mode == WARROW_LATE:
             isp = t in point
@@ -321,7 +356,9 @@ def tstp(system: EquationSystem, start, ops: LatticeOps, *,
     Phase 0 runs a local widening iteration into sigma0; phase 1 copies each
     value over on first touch and narrows in sigma1.  Fresh variables met
     during narrowing are first driven through phase 0 so they enter sigma1
-    with a sound initial value.
+    with a sound initial value.  A phase-1 evaluation reuses its variable's
+    record while the reads give the recorded values: the program would make
+    the same look-ups in the same order (module docstring).
 
     In phase 1 every value only descends: points apply `narrow`, and other
     variables take the meet of old and new value.  A non-monotonic right-hand
@@ -357,7 +394,7 @@ def tstp(system: EquationSystem, start, ops: LatticeOps, *,
                 solve1(u, -u)
             do_var(u, sigma1, NARROW, eval1)
 
-    eval0 = reading(sigma0, solve0)
+    eval0 = reading(sigma0, solve0, record=True)
     eval1 = reading(sigma1, solve1)
     try:
         solve1(discover(start), 1)
@@ -378,12 +415,10 @@ def tsmp(system: EquationSystem, start, ops: LatticeOps, *,
     When an update flips a sub-iteration into narrowing mode, lower-priority
     variables are fully narrowed before the enclosing widening run resumes.
 
-    In narrowing mode every value only descends: points apply `narrow`, and
-    other variables take the meet of old and new value, for the reason given
-    in `tstp`: a risen non-point would let `narrow` clip a point reading it
-    below the lower monotonization, whereas descending updates keep
-    f↓(σ_final) ⊑ f↓(σ_eval) ⊑ f(σ_eval) with the old value as bound.  This
-    clamp is a stated departure from the paper's solver text.
+    In narrowing mode every value only descends, as in tstp's phase 1 and
+    for the reason given there: points apply `narrow`, other variables take
+    the meet of old and new value.  This clamp is a stated departure from the
+    paper's solver text.
     """
     _, queue, discover, _, reading, do_var, result = _demand(
         system, ops, var_budget, fuel)
@@ -421,8 +456,7 @@ def warrow_solve(system: EquationSystem, start, ops: LatticeOps, fuel: int, *,
     warrowing operator to old and new value, with point membership sampled
     after the evaluation (WARROW_LATE in the module docstring), which is why
     it can diverge.  Each right-hand-side evaluation burns one unit of fuel;
-    running dry is reported as a status, with the partial state reached so
-    far.
+    running dry is reported as a status, with the partial state reached.
     """
     _, queue, discover, _, reading, do_var, result = _demand(
         system, ops, var_budget, fuel)

@@ -1,9 +1,10 @@
-"""Shared systems, trees, reference compilers and the reference `tsrr` for the tests."""
+"""Shared systems, trees, reference compilers and reference solvers for the tests."""
 
 import contextlib
 import random
 import sys
 from collections import Counter
+from heapq import heappop, heappush
 
 from latfix import (
     Answer,
@@ -15,11 +16,14 @@ from latfix import (
     SolveStatus,
     Stats,
     UnknownVariableError,
+    VarBudgetExceeded,
     call_loop_system,
     eval_tree,
     gen_random_system,
 )
 from latfix.eqsys import OP_CALL, Program, as_lookup
+from latfix.interproc import _cell_edges
+from latfix.solvers import DEFAULT_VAR_BUDGET
 from latfix.lattice import Chain, Powerset
 
 EX1_NATINF = """\
@@ -210,6 +214,21 @@ def counted(system):
     return EquationSystem(rhs, all_vars=system.all_vars), requests
 
 
+
+def check_levels(scheme, levels):
+    """Independent check of the stratification invariants for a witness."""
+    for u in scheme.points:
+        if u not in levels:
+            return False
+        for caller, callee, strict in _cell_edges(u, scheme.rhs[u]):
+            if levels[callee] == levels[caller]:
+                if strict:
+                    return False
+            elif levels[callee] >= levels[caller]:
+                return False
+    return True
+
+
 # --- reference compilers ------------------------------------------------------
 #
 # The continuation-passing translation the expression languages used before
@@ -363,3 +382,137 @@ def reference_tsrr(variables, system, ops):
     # Break the closure cycle.
     del solve
     return SolverResult(Assignment(ops, sigma), stats, SolveStatus.COMPLETED)
+
+
+# --- reference tstp -------------------------------------------------------------
+#
+# The two-phase solver with the demand-driven core it ran on before it reused
+# phase-0 results in phase 1 and before a nested first touch stopped queueing
+# the touched variable for a second evaluation.  `tstp` must agree with it on
+# the assignments, `sigma0`, the status, `vars_encountered` and `widen_apps`;
+# `rhs_evals` and `narrow_apps` may only be lower.
+
+class _ReferenceOutOfFuel(Exception):
+    pass
+
+
+def reference_tstp(system, start, ops, *, var_budget=DEFAULT_VAR_BUDGET, fuel=None):
+    """Demand-driven two-phase solving from one start variable.
+
+    Variables get dense slots in discovery order and a slot's negation is its
+    priority.  Phase 0 widens at points into sigma0; phase 1 copies a value
+    over on first touch, narrows at points and takes the meet elsewhere.
+    """
+    if fuel is not None and fuel < 1:
+        raise ValueError("fuel must be >= 1")
+    slot = {}        # variable -> slot
+    variables = []   # slot -> variable
+    trees = []       # slot -> right-hand side, once requested
+    infl = []        # slot -> slots of its readers
+    point = set()
+    heap = []        # negated slots: the lowest-priority slot comes first
+    queued = set()
+    stats = Stats()
+    sigma0 = {}
+    sigma1 = {}
+    reader = None
+
+    def discover(y):
+        t = len(variables)
+        if t >= var_budget:
+            raise VarBudgetExceeded(var_budget)
+        slot[y] = t
+        variables.append(y)
+        trees.append(None)
+        infl.append(set())
+        return t
+
+    def requeue(t):
+        for u in infl[t]:
+            if u not in queued:
+                queued.add(u)
+                heappush(heap, -u)
+        infl[t] = set()
+
+    def extract():
+        u = -heappop(heap)
+        queued.discard(u)
+        return u
+
+    def reading(sigma, solve):
+        def lookup(z):
+            r = reader
+            t = slot.get(z)
+            if t is None:
+                t = discover(z)
+            if t not in sigma:
+                solve(t, -r)
+            if t <= r:
+                point.add(t)
+            infl[t].add(r)
+            return sigma[t]
+
+        return lookup
+
+    def do_var(t, sigma, narrowing, lookup):
+        nonlocal reader
+        isp = t in point
+        point.discard(t)
+        if stats.rhs_evals == fuel:
+            raise _ReferenceOutOfFuel
+        stats.rhs_evals += 1
+        if trees[t] is None:
+            trees[t] = system.rhs(variables[t])
+        outer, reader = reader, t
+        new = eval_tree(trees[t], lookup)
+        reader = outer
+        old = sigma[t]
+        if isp:
+            if narrowing:
+                new = ops.narrow(old, new)
+                stats.narrow_apps += 1
+            else:
+                new = ops.widen(old, new)
+                stats.widen_apps += 1
+        elif narrowing:
+            new = ops.meet(old, new)
+        if not ops.eq(old, new):
+            sigma[t] = new
+            requeue(t)
+
+    def solve0(t, _n=None):
+        sigma0[t] = ops.bot
+        do_var(t, sigma0, False, eval0)
+        while heap and heap[0] <= -t:
+            do_var(extract(), sigma0, False, eval0)
+
+    def solve1(t, n):
+        if t not in sigma0:
+            solve0(t)
+        sigma1[t] = sigma0[t]
+        infl[t].add(t)
+        requeue(t)
+        while heap and heap[0] < n:
+            u = extract()
+            if u not in sigma1:
+                solve1(u, -u)
+            do_var(u, sigma1, True, eval1)
+
+    eval0 = reading(sigma0, solve0)
+    eval1 = reading(sigma1, solve1)
+    try:
+        solve1(discover(start), 1)
+        completed = True
+    except _ReferenceOutOfFuel:
+        completed = False
+    # Break the closure cycle.
+    del solve0, solve1, eval0, eval1
+    stats.vars_encountered = len(variables)
+    if fuel is not None:
+        stats.fuel_used = stats.rhs_evals
+
+    def named(s):
+        return Assignment(ops, {variables[t]: d for t, d in s.items()})
+
+    status = SolveStatus.COMPLETED if completed else SolveStatus.FUEL_EXHAUSTED
+    return SolverResult(named(sigma1), stats, status, named(sigma0))

@@ -15,7 +15,6 @@ import pytest
 from latfix import (
     Assignment,
     SolveStatus,
-    check_levels,
     check_sigma_closed,
     check_sound,
     check_stratified,
@@ -53,6 +52,7 @@ from fixtures import (
     SCHEME_NESTED_NATINF,
     SCHEME_RECURSIVE,
     branching_tree,
+    check_levels,
     loop_call_concrete,
     random_corpus,
 )

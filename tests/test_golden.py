@@ -34,11 +34,11 @@ from fixtures import capped, random_corpus
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 CORPUS_RESULTS_DIGEST = "6e88b943f967fb78280660b8d0363a6bd672039df3551af34c4295262ea2e6f6"
-CORPUS_DIGEST = "0f9782a587415e141032f82128380aabdcd2a495041fefc9824c2777ceb80285"
+CORPUS_DIGEST = "63d5d76125dfb36c07d5a7edd2071447a18488ba5b867cb657f4105bb0417a5d"
 CLI_RESULTS_DIGEST = "d47baaeb3cf74b5de6113f33a0b66c6d04a640f645de2fd83ac9ec63512df965"
-CLI_DIGEST = "c4b1fc4a7cd19943bd592c41f4cb0bd2eb75c107f0392922f418dc9e625072bf"
+CLI_DIGEST = "453cf0dc03b8d88e6fcf0159732354ac7002e13b190ae54c7965be8b265fc046"
 SCHEME_RESULTS_DIGEST = "768bc9fbf42766877b49222bd868102a2395aec5be0d9adf770acd5921fedaad"
-SCHEME_DIGEST = "df5dc092e545665895793aab20e722074a37884f37b08d0ba23cbc9744a12d4d"
+SCHEME_DIGEST = "8ca53e567f7a4cfafc70477a41eac802df1fed83ed096eb4f10bec7f0cb6f2bd"
 
 
 def _render(ops, values, key=repr):

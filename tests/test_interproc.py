@@ -6,7 +6,6 @@ from latfix import (
     Answer,
     CounterexampleCycle,
     SolveStatus,
-    check_levels,
     check_stratified,
     eval_tree,
     extend_top,
@@ -26,6 +25,7 @@ from fixtures import (
     SCHEME_NESTED_INTERVAL,
     SCHEME_NESTED_NATINF,
     SCHEME_RECURSIVE,
+    check_levels,
     eval_tree_traced,
     sem_expr,
     solve_capped,

@@ -14,6 +14,7 @@ from latfix import (
     SolveStatus,
     UnknownVariableError,
     VarBudgetExceeded,
+    gen_random_system,
     is_closed,
     is_post_solution,
     is_post_solution_lower_mono,
@@ -23,8 +24,8 @@ from latfix import (
     warrow_solve,
 )
 from latfix.cli import parse_finite_file, parse_scheme_file
-from latfix.interproc import check_levels, check_stratified, instantiate_system
-from latfix.lattice import INF
+from latfix.interproc import check_stratified, instantiate_system
+from latfix.lattice import INF, Chain, Powerset
 
 from fixtures import (
     EX1_CHAIN4,
@@ -35,10 +36,12 @@ from fixtures import (
     MONOTONE_CHAIN5,
     SCHEME_RECURSIVE,
     capped,
+    check_levels,
     counted,
     default_recursion_limit,
     random_corpus,
     reference_tsrr,
+    reference_tstp,
     ring_text,
     solve_capped,
 )
@@ -176,6 +179,19 @@ def test_tstp_sigma0_is_post_solution(ex5):
     assert is_post_solution(result.sigma0, ex5.system)
     assert is_closed(result.sigma0, ex5.system)
     assert is_closed(result.assignment, ex5.system)
+
+
+def test_tstp_reused_result_spends_no_fuel(ex1):
+    # One variable, so no nested first touch: the evaluation saved against
+    # the reference is a phase-0 result reused in phase 1.
+    unfueled = tstp(ex1.system, "y1", ex1.ops)
+    assert unfueled.stats.rhs_evals < reference_tstp(ex1.system, "y1", ex1.ops).stats.rhs_evals
+    exact = tstp(ex1.system, "y1", ex1.ops, fuel=unfueled.stats.rhs_evals)
+    assert exact.status is SolveStatus.COMPLETED
+    assert exact.assignment == unfueled.assignment
+    assert exact.sigma0 == unfueled.sigma0
+    short = tstp(ex1.system, "y1", ex1.ops, fuel=unfueled.stats.rhs_evals - 1)
+    assert short.status is SolveStatus.FUEL_EXHAUSTED
 
 
 # --- tsmp -------------------------------------------------------------------------
@@ -528,6 +544,49 @@ def test_demand_driven_solvers_terminate_on_stratified_schemes(text):
                               var_budget=5000)
         assert result.status is SolveStatus.COMPLETED
         assert is_closed(result.assignment, system)
+
+
+# tstp against the two-phase solver as it was before it reused phase-0
+# results: the same assignments, sigma0, status, variables and widenings, and
+# no more evaluations or narrowings.  A first touch that no longer evaluates
+# its variable twice leaves a point mark of the first evaluation for the next
+# update, where the second evaluation used to consume it; on infinite
+# lattices that update could narrow instead of taking the meet, so natinf and
+# interval inputs are drawn along with finite ones.
+
+FINITE_DESCRIPTORS = [Chain(3), Chain(5), Powerset(("a", "b")), Powerset(("a", "b", "c"))]
+
+
+@st.composite
+def tstp_inputs(draw):
+    """(system, start, ops) of a random finite, natinf/interval or stratified scheme input."""
+    kind = draw(st.sampled_from(["finite", "infinite", "scheme"]))
+    if kind == "finite":
+        gen = gen_random_system(draw(st.integers(0, 2**31 - 1)), draw(st.integers(1, 30)),
+                                draw(st.sampled_from(FINITE_DESCRIPTORS)),
+                                draw(st.integers(1, 3)), False)
+        return gen.system, gen.variables[0], gen.ops
+    if kind == "infinite":
+        prog = parse_finite_file(draw(infinite_lattice_files()))
+        return prog.system, prog.var_order[0], prog.ops
+    scheme = parse_scheme_file(draw(stratified_scheme_files()))
+    return instantiate_system(scheme), scheme.start, scheme.ops
+
+
+@settings(deadline=None)
+@given(tstp_inputs())
+@example((parse_finite_file(EX5_NATINF).system, "y1", parse_finite_file(EX5_NATINF).ops))
+def test_tstp_agrees_with_reference(case):
+    system, start, ops = case
+    result = tstp(capped(system), start, ops, var_budget=5000)
+    reference = reference_tstp(capped(system), start, ops, var_budget=5000)
+    assert list(result.assignment.items()) == list(reference.assignment.items())
+    assert list(result.sigma0.items()) == list(reference.sigma0.items())
+    assert result.status is reference.status
+    for field in ("vars_encountered", "widen_apps", "fuel_used"):
+        assert getattr(result.stats, field) == getattr(reference.stats, field)
+    for field in ("rhs_evals", "narrow_apps"):
+        assert getattr(result.stats, field) <= getattr(reference.stats, field)
 
 
 # The converse: a demand-driven solver fails to terminate only by meeting
