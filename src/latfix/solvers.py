@@ -13,20 +13,19 @@ Four engines over one equation-system interface:
 
 The last three are drivers over one demand-driven core, `_demand`.  It gives
 each variable a dense int slot in discovery order, whose negation is its
-priority.  Influence sets, the set of points, the work queue and the drivers'
-assignments all hold slots, so a look-up hashes its variable once, to find its
-slot; the results are renamed back to variables.  The core detects
-widening/narrowing points dynamically (a variable queried at priority not
-below its querier's), keeps a priority queue with set semantics, and applies
-one update rule.  At points the driver's mode picks the operator: WIDEN widens
-(tstp's phase 0); NARROW narrows, and other variables take the meet, so values
-only descend (tstp's phase 1, tsmp with its flag set); WARROW narrows if the
-new value is below the old one and widens otherwise (tsmp with its flag unset;
-narrowing sets the flag).  WARROW_LATE (warrow_solve) is WARROW with point
-membership sampled after the evaluation, so a self-dependency found by that
-very evaluation already counts.  This lets the operator flip between widening
-and narrowing forever on non-monotonic systems, which is the divergence
-warrow_solve exists to exhibit, and why it runs on fuel.
+priority.  Influence sets, points, the work queue and the drivers' assignments
+all hold slots, so a look-up hashes its variable once; results are renamed
+back to variables.  The core detects widening/narrowing points dynamically (a
+variable queried at priority not below its querier's), keeps a priority queue
+with set semantics, and applies one update rule.  At points the driver's mode
+picks the operator: WIDEN widens (tstp's phase 0); NARROW narrows, and other
+variables take the meet, so values only descend (tstp's phase 1, tsmp with its
+flag set); WARROW narrows if the new value is below the old one and widens
+otherwise (tsmp with its flag unset; narrowing sets the flag).  WARROW_LATE
+(warrow_solve) is WARROW with point membership sampled after the evaluation,
+so a self-dependency that evaluation finds already counts.  This lets the
+operator flip between widening and narrowing forever on non-monotonic systems:
+the divergence warrow_solve exists to exhibit, and why it runs on fuel.
 
 A look-up calls the driver's solve only for a variable not yet in the
 assignment it reads.  Every solver requests a variable's right-hand side
@@ -37,19 +36,16 @@ take an optional fuel as well; spending it ends the run with FUEL_EXHAUSTED
 and the partial assignments.
 
 tstp's phase 1 reuses results.  A WIDEN evaluation leaves its (variable,
-value) reads and result as its variable's record; a NARROW evaluation of a
-variable with a record replays those reads, in order, through the phase-1
-look-up with its first-touch solving, point marking and influence
-registration.  Right-hand sides are pure (see `eqsys`), so while the values
-are as recorded the program would make these very look-ups; if all are, the
-recorded result is reused and the record kept, which is no evaluation and
-spends no fuel.  At the first value that differs the record is dropped and
-the program runs, its first reads fed the values already read.
+value) reads and result as its variable's record; a NARROW evaluation replays
+the reads in order through the phase-1 look-up, side effects included.
+Right-hand sides are pure: while the values match, the program would make
+these very look-ups, so if all match, the result is reused and the record
+kept, with no evaluation or fuel spent.  At the first mismatch the record is
+dropped and the program runs, fed the values read.
 
 The demand-driven solvers' nested functions reference one another through
-their closure cells.  A solver empties those cells when it is done, so that
-reference counting frees its state at once instead of leaving it for the
-rarely run cycle collector.
+closure cells, which a solver empties when it is done, so that reference
+counting frees its state at once, not the rarely run cycle collector.
 """
 
 from __future__ import annotations
@@ -222,11 +218,9 @@ def tsrr(variables, system: EquationSystem, ops: LatticeOps) -> SolverResult:
 def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None):
     """The core of tstp, tsmp and warrow_solve (see the module docstring).
 
-    Returns (infl, queue, discover, requeue, reading, do_var, result).
-    The drivers own the assignments, whose keys are the slots solved into
-    them.  Once `fuel` evaluations are spent, do_var raises _OutOfFuel.
-    do_var keeps and replays the reads a recording look-up (tstp's phase 0)
-    stacks in `reads`: a replay makes the program's look-ups, in its order.
+    Returns (infl, queue, discover, requeue, reading, do_var, result); the
+    drivers own the assignments, keyed by slot.  do_var raises _OutOfFuel once
+    `fuel` evaluations are spent; replaying a pure program's reads is none.
     """
     if fuel is not None and fuel < 1:
         raise ValueError("fuel must be >= 1")
@@ -258,7 +252,8 @@ def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None)
 
     def reading(sigma, solve, record=False):
         # One look-up per assignment; solve(t, n) gets the reader's priority n.
-        # A recording one (tstp's phase 0) also pushes its reads on `reads`.
+        # A recording one (tstp's phase 0) pushes its reads on `reads` itself:
+        # a wrapping frame would deepen each level of the solving recursion.
         def lookup(z):
             r = reader
             t = slot.get(z)
@@ -272,9 +267,17 @@ def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None)
             return sigma[t]
 
         def recording(z):
-            d = lookup(z)
-            reads.append((z, d))
-            return d
+            r = reader
+            t = slot.get(z)
+            if t is None:
+                t = discover(z)
+            if t not in sigma:
+                solve(t, -r)
+            if t <= r:
+                point.add(t)
+            infl[t].add(r)
+            reads.append((z, sigma[t]))
+            return sigma[t]
 
         return recording if record else lookup
 
@@ -415,10 +418,9 @@ def tsmp(system: EquationSystem, start, ops: LatticeOps, *,
     When an update flips a sub-iteration into narrowing mode, lower-priority
     variables are fully narrowed before the enclosing widening run resumes.
 
-    In narrowing mode every value only descends, as in tstp's phase 1 and
-    for the reason given there: points apply `narrow`, other variables take
-    the meet of old and new value.  This clamp is a stated departure from the
-    paper's solver text.
+    In narrowing mode every value only descends, as in tstp's phase 1 and for
+    the reason given there (points narrow, other variables take the meet): a
+    clamp that is a stated departure from the paper's solver text.
     """
     _, queue, discover, _, reading, do_var, result = _demand(
         system, ops, var_budget, fuel)
@@ -454,9 +456,8 @@ def warrow_solve(system: EquationSystem, start, ops: LatticeOps, fuel: int, *,
 
     No phase flags: at widening/narrowing points the update applies the
     warrowing operator to old and new value, with point membership sampled
-    after the evaluation (WARROW_LATE in the module docstring), which is why
-    it can diverge.  Each right-hand-side evaluation burns one unit of fuel;
-    running dry is reported as a status, with the partial state reached.
+    after the evaluation (WARROW_LATE, see the module docstring), so it can
+    diverge.  Each evaluation burns one unit of fuel; running dry is a status.
     """
     _, queue, discover, _, reading, do_var, result = _demand(
         system, ops, var_budget, fuel)

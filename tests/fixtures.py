@@ -387,10 +387,10 @@ def reference_tsrr(variables, system, ops):
 # --- reference tstp -------------------------------------------------------------
 #
 # The two-phase solver with the demand-driven core it ran on before it reused
-# phase-0 results in phase 1 and before a nested first touch stopped queueing
-# the touched variable for a second evaluation.  `tstp` must agree with it on
-# the assignments, `sigma0`, the status, `vars_encountered` and `widen_apps`;
-# `rhs_evals` and `narrow_apps` may only be lower.
+# recorded results: every phase-1 evaluation runs the right-hand side, and a
+# variable first touched by the queue is evaluated twice.  `tstp` must agree
+# with it on the assignments, `sigma0`, the status and every count but
+# `rhs_evals`, which may only be lower.
 
 class _ReferenceOutOfFuel(Exception):
     pass
