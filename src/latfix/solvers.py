@@ -35,17 +35,13 @@ unknown variable reports that, not the unknown variable.  `tstp` and `tsmp`
 take an optional fuel as well; spending it ends the run with FUEL_EXHAUSTED
 and the partial assignments.
 
-tstp's phase 1 reuses results.  A WIDEN evaluation leaves its (variable,
-value) reads and result as its variable's record; a NARROW evaluation replays
-the reads in order through the phase-1 look-up, side effects included.
-Right-hand sides are pure: while the values match, the program would make
-these very look-ups, so if all match, the result is reused and the record
-kept, with no evaluation or fuel spent.  At the first mismatch the record is
-dropped and the program runs, fed the values read.
+tstp's phase 1 reuses results: a NARROW evaluation replays through its look-up
+the (variable, value) reads of its variable's last WIDEN evaluation.  A pure
+program reading these values makes these look-ups and returns the recorded
+result, which is reused; at a mismatch it runs, fed the values already read.
 
-The demand-driven solvers' nested functions reference one another through
-closure cells, which a solver empties when it is done, so that reference
-counting frees its state at once, not the rarely run cycle collector.
+A demand-driven solver empties its nested functions' closure cells when done,
+so reference counting, not the rarely run cycle collector, frees its state.
 """
 
 from __future__ import annotations
@@ -220,7 +216,8 @@ def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None)
 
     Returns (infl, queue, discover, requeue, reading, do_var, result); the
     drivers own the assignments, keyed by slot.  do_var raises _OutOfFuel once
-    `fuel` evaluations are spent; replaying a pure program's reads is none.
+    `fuel` evaluations are spent; a reused result is none.  A NARROW do_var
+    replays t's record with the look-ups' side effects, in the same order.
     """
     if fuel is not None and fuel < 1:
         raise ValueError("fuel must be >= 1")
@@ -252,8 +249,7 @@ def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None)
 
     def reading(sigma, solve, record=False):
         # One look-up per assignment; solve(t, n) gets the reader's priority n.
-        # A recording one (tstp's phase 0) pushes its reads on `reads` itself:
-        # a wrapping frame would deepen each level of the solving recursion.
+        # tstp's phase 0 records its reads inline: a wrapper adds a frame per level.
         def lookup(z):
             r = reader
             t = slot.get(z)
@@ -292,14 +288,16 @@ def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None)
             isp = t in point
             point.discard(t)
         outer, reader = reader, t
-        seen, new = recorded.get(t, ((), _STALE)) if mode == NARROW else ((), _STALE)
-        for i, (z, d) in enumerate(seen):  # replay t's record
-            v = lookup(z)
-            if v != d:
-                new = _STALE
-                del recorded[t]
-                lookup = feeding(iter([d for _, d in seen[:i]] + [v]), lookup)
-                break
+        new = _STALE
+        if mode == NARROW and t in recorded:  # replay t's record
+            seen, new = recorded[t]
+            for i, (z, d) in enumerate(seen):
+                v = lookup(z)
+                if v != d:
+                    new = _STALE
+                    del recorded[t]
+                    lookup = feeding(iter([d for _, d in seen[:i]] + [v]), lookup)
+                    break
         if new is _STALE:
             if stats.rhs_evals == fuel:
                 raise _OutOfFuel
@@ -307,11 +305,13 @@ def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None)
             tree = trees[t]
             if tree is None:
                 tree = trees[t] = system.rhs(variables[t])
-            mark = len(reads)
-            new = eval_tree(tree, lookup)
-            if mode == WIDEN:
+            if mode == WIDEN:  # only here, so tsmp's evaluations pay nothing for records
+                mark = len(reads)
+                new = eval_tree(tree, lookup)
                 recorded[t] = reads[mark:], new
                 del reads[mark:]
+            else:
+                new = eval_tree(tree, lookup)
         reader = outer
         if mode == WARROW_LATE:
             isp = t in point
@@ -359,9 +359,9 @@ def tstp(system: EquationSystem, start, ops: LatticeOps, *,
     Phase 0 runs a local widening iteration into sigma0; phase 1 copies each
     value over on first touch and narrows in sigma1.  Fresh variables met
     during narrowing are first driven through phase 0 so they enter sigma1
-    with a sound initial value.  A phase-1 evaluation reuses its variable's
-    record while the reads give the recorded values: the program would make
-    the same look-ups in the same order (module docstring).
+    with a sound initial value.  Phase 1 reuses phase-0 results while the
+    reads match (module docstring); a variable the queue first touches is
+    updated twice, as the first update may use up the second's point mark.
 
     In phase 1 every value only descends: points apply `narrow`, and other
     variables take the meet of old and new value.  A non-monotonic right-hand

@@ -1,6 +1,7 @@
 """Solver behavior on the worked systems plus corpus-level guarantees."""
 
 import contextlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from latfix import (
     warrow_solve,
 )
 from latfix.cli import parse_finite_file, parse_scheme_file
+from latfix.eqsys import Program
 from latfix.interproc import check_stratified, instantiate_system
 from latfix.lattice import INF, Chain, Powerset
 
@@ -598,6 +600,44 @@ def test_tstp_agrees_with_reference(case):
     for field in ("vars_encountered", "widen_apps", "narrow_apps", "fuel_used"):
         assert getattr(result.stats, field) == getattr(reference.stats, field)
     assert result.stats.rhs_evals <= reference.stats.rhs_evals
+
+
+# A replay that stops at a mismatch feeds the program the values already
+# read, so no look-up, nor its side effects, happens twice: tstp makes the
+# reference's look-ups, replayed ones included.  Look-ups are counted by
+# variable names that count their hashes; either solver hashes a variable
+# once per look-up, once on discovery and once per assignment it returns.
+
+def _counting_names(system):
+    """`system` over equal names that count their hashes, the name type and the counts."""
+    hashes = Counter()
+
+    class Name(str):
+        def __hash__(self):
+            hashes[str(self)] += 1
+            return str.__hash__(self)
+
+    def rhs(var):
+        tree = system.rhs(var)
+        if tree.__class__ is Program:  # a finite file's only str operands are variables
+            tree = Program(tuple(Name(x) if isinstance(x, str) else x for x in tree.code),
+                           tree.ops, tree.ctx)
+        return tree
+
+    return EquationSystem(rhs), Name, hashes
+
+
+@pytest.mark.parametrize("text", [EX1_CHAIN4, EX5_NATINF, DOUBLE_FIRST_TOUCH])
+def test_tstp_looks_each_variable_up_as_the_reference_does(text):
+    prog = parse_finite_file(text)
+    looked_up, evals = [], []
+    for solver in (tstp, reference_tstp):
+        system, name, hashes = _counting_names(prog.system)
+        result = solver(system, name(prog.var_order[0]), prog.ops)
+        looked_up.append(hashes)
+        evals.append(result.stats.rhs_evals)
+    assert looked_up[0] == looked_up[1]
+    assert evals[0] < evals[1]
 
 
 # The converse: a demand-driven solver fails to terminate only by meeting
