@@ -45,20 +45,11 @@ from .interproc import (
     resolve_builtin,
 )
 from .oracle import (
-    ConcreteSystem,
-    GaloisConnection,
     OracleBudgetError,
     OracleError,
-    call_loop_system,
-    check_sigma_closed,
-    check_sound,
     gen_random_system,
-    identity_galois,
     is_post_solution,
     is_post_solution_lower_mono,
-    kleene_least_solution,
-    lower_mono_value,
-    powerset_interval_galois,
     rhs_monotone,
     system_monotone,
 )

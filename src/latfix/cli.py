@@ -437,13 +437,13 @@ def _scheme_start(scheme, override):
 def _run_solver(kind, prog, solver, fuel, var_budget, start_override):
     if kind == "finite":
         ops, system = prog.ops, prog.system
-        if solver == "tsrr":
-            return ops, tsrr(prog.var_order, system, ops)
         start = prog.var_order[0]
         if start_override is not None:
             if start_override not in prog.var_order:
                 raise UsageError(f"unknown start variable {start_override!r}")
             start = start_override
+        if solver == "tsrr":  # it solves every variable, so a start changes nothing
+            return ops, tsrr(prog.var_order, system, ops)
     else:
         if solver == "tsrr":
             raise UsageError("tsrr requires a finite system file")
@@ -577,7 +577,7 @@ def cmd_verify(args, out):
     if not ops.is_finite:
         raise UsageError("verify needs a finite lattice (chain or powerset)")
     _, result = _run_solver(kind, prog, args.solver, args.fuel,
-                            args.var_budget, None)
+                            args.var_budget, args.start)
     if result.status is not SolveStatus.COMPLETED:
         print(f"status: {result.status.value}", file=out)
         return EXIT_FUEL
@@ -679,10 +679,7 @@ def main(argv=None, out=None) -> int:
     except (ParseError, UsageError, SchemeError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except VarBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except OracleBudgetError as exc:
+    except (VarBudgetExceeded, OracleBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except RecursionError:

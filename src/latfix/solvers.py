@@ -249,7 +249,8 @@ def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None)
 
     def reading(sigma, solve, record=False):
         # One look-up per assignment; solve(t, n) gets the reader's priority n.
-        # tstp's phase 0 records its reads inline: a wrapper adds a frame per level.
+        # Only tstp's phase 0 records its reads.  A flag keeps that in the one
+        # body: wrapping the look-up would add a frame per nesting level.
         def lookup(z):
             r = reader
             t = slot.get(z)
@@ -260,22 +261,11 @@ def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None)
             if t <= r:
                 point.add(t)
             infl[t].add(r)
+            if record:
+                reads.append((z, sigma[t]))
             return sigma[t]
 
-        def recording(z):
-            r = reader
-            t = slot.get(z)
-            if t is None:
-                t = discover(z)
-            if t not in sigma:
-                solve(t, -r)
-            if t <= r:
-                point.add(t)
-            infl[t].add(r)
-            reads.append((z, sigma[t]))
-            return sigma[t]
-
-        return recording if record else lookup
+        return lookup
 
     def feeding(fed, lookup):
         # `lookup`, but its first reads get the values of the iterator `fed`.

@@ -17,7 +17,6 @@ from latfix import (
     Stats,
     UnknownVariableError,
     VarBudgetExceeded,
-    call_loop_system,
     eval_tree,
     gen_random_system,
 )
@@ -25,6 +24,8 @@ from latfix.eqsys import OP_CALL, Program, as_lookup
 from latfix.interproc import _cell_edges
 from latfix.solvers import DEFAULT_VAR_BUDGET
 from latfix.lattice import Chain, Powerset
+
+from oracle_ref import call_loop_system
 
 EX1_NATINF = """\
 lattice natinf

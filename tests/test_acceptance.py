@@ -15,19 +15,14 @@ import pytest
 from latfix import (
     Assignment,
     SolveStatus,
-    check_sigma_closed,
-    check_sound,
     check_stratified,
     compile_rhs_dsl,
     eval_tree,
     extend_top,
-    identity_galois,
     instantiate_system,
     is_closed,
     is_post_solution,
     is_post_solution_lower_mono,
-    kleene_least_solution,
-    lower_mono_value,
     rhs_monotone,
     tree_dep,
     tsmp,
@@ -55,6 +50,13 @@ from fixtures import (
     check_levels,
     loop_call_concrete,
     random_corpus,
+)
+from oracle_ref import (
+    check_sigma_closed,
+    check_sound,
+    identity_galois,
+    kleene_least_solution,
+    lower_mono_value,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"

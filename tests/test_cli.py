@@ -305,6 +305,16 @@ def test_solve_scheme_with_start_override(tmp_path):
     assert "v:3" in payload["assignment"]
 
 
+def test_tsrr_checks_the_start_but_solves_every_variable(capsys):
+    path = str(SAMPLES / "minmax_natinf.lat")
+    code, _ = run_cli("solve", "tsrr", path, "--start", "nosuch")
+    assert code == EXIT_USAGE
+    assert "unknown start variable 'nosuch'" in capsys.readouterr().err
+    assert run_cli("solve", "tsrr", path, "--start", "y2") == run_cli("solve", "tsrr", path)
+    code, _ = run_cli("compare", "tsrr", "tstp", path, "--start", "y2")
+    assert code == EXIT_OK
+
+
 def test_tsrr_rejected_on_scheme(tmp_path):
     path = write(tmp_path, "s.sch", SCHEME_NESTED_NATINF)
     code, _ = run_cli("solve", "tsrr", path)
@@ -415,6 +425,29 @@ def test_verify_tstp_checks_both_phases(tmp_path):
     assert payload["checks"]["sigma0 post-solution (original)"] is True
     assert payload["checks"]["post-solution (lower monotonization)"] is True
     assert payload["ok"] is True
+
+
+def test_verify_rejects_an_unknown_start(capsys):
+    path = str(SAMPLES / "flipflop_chain4.lat")
+    code, _ = run_cli("verify", "tstp", path, "--start", "nosuch")
+    assert code == EXIT_USAGE
+    assert "unknown start variable 'nosuch'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["tstp", "tsmp"])
+def test_verify_checks_the_run_from_the_given_start(tmp_path, solver):
+    # From y1 the flip-flop is solved and fails the (informational) original
+    # post-solution check; from y2, which reads only itself, it is never seen.
+    path = write(tmp_path, "two.lat",
+                 "lattice chain 4\n"
+                 "var y1 = ite (eq (get y1) (lit 0)) (lit 1) (lit 0)\n"
+                 "var y2 = join (get y2) (lit 2)\n")
+    for start, expected in [(None, False), ("y1", False), ("y2", True)]:
+        argv = ["verify", solver, path, "--json"]
+        argv += ["--start", start] if start else []
+        code, out = run_cli(*argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["checks"]["post-solution (original)"] is expected
 
 
 def test_verify_rejects_infinite_lattice(tmp_path):

@@ -10,7 +10,6 @@ from latfix import (
     eval_tree,
     extend_top,
     instantiate_system,
-    kleene_least_solution,
     tree_dep,
     tsmp,
     tstp,
@@ -30,6 +29,7 @@ from fixtures import (
     sem_expr,
     solve_capped,
 )
+from oracle_ref import kleene_least_solution
 
 NAT = make_domain(NatInf())
 

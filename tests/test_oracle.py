@@ -8,21 +8,13 @@ import pytest
 from latfix import (
     Answer,
     Assignment,
-    ConcreteSystem,
     OracleError,
     SolveStatus,
-    call_loop_system,
-    check_sigma_closed,
-    check_sound,
     compile_rhs_dsl,
     gen_random_system,
-    identity_galois,
     is_closed,
     is_post_solution,
     is_post_solution_lower_mono,
-    kleene_least_solution,
-    lower_mono_value,
-    powerset_interval_galois,
     rhs_monotone,
     tsmp,
 )
@@ -30,6 +22,16 @@ from latfix.cli import parse_finite_file
 from latfix.lattice import Chain, Interval, Powerset, make_domain
 
 from fixtures import EX1_CHAIN4, EX5_NATINF, loop_call_concrete
+from oracle_ref import (
+    ConcreteSystem,
+    call_loop_system,
+    check_sigma_closed,
+    check_sound,
+    identity_galois,
+    kleene_least_solution,
+    lower_mono_value,
+    powerset_interval_galois,
+)
 
 CHAIN4 = make_domain(Chain(4))
 POW_AB = make_domain(Powerset(("a", "b")))
@@ -156,6 +158,27 @@ def test_post_solution_implies_lower_mono_post_exhaustive():
             cand = Assignment(gen.ops, dict(zip(gen.variables, combo)))
             if is_post_solution(cand, gen.system):
                 assert is_post_solution_lower_mono(cand, gen.system, gen.ops)
+
+
+def test_lower_mono_check_agrees_with_the_reference():
+    # The shipped check against the brute-force reference, which shares no
+    # enumeration code with it, on every total assignment of small systems.
+    descriptors = [Chain(2), Chain(3), Chain(4), Powerset(("a", "b"))]
+    verdicts = set()
+    for seed in range(96):
+        descriptor = descriptors[seed % 4]
+        nvars = seed // 4 % 3 + 1
+        gen = gen_random_system(seed, nvars, descriptor, 2 + seed % 2,
+                                monotone_only=seed // 12 % 2 == 0)
+        ops, variables, system = gen.ops, gen.variables, gen.system
+        for combo in itertools.product(ops.values(), repeat=nvars):
+            a = Assignment(ops, dict(zip(variables, combo)))
+            expected = all(
+                ops.leq(lower_mono_value(system.rhs(y), a, variables, ops), a[y])
+                for y in variables)
+            assert is_post_solution_lower_mono(a, system, ops) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 # --- soundness via Galois connections ----------------------------------------------------
