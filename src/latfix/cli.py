@@ -579,7 +579,11 @@ def cmd_verify(args, out):
     _, result = _run_solver(kind, prog, args.solver, args.fuel,
                             args.var_budget, args.start)
     if result.status is not SolveStatus.COMPLETED:
-        print(f"status: {result.status.value}", file=out)
+        if args.json:
+            print(json.dumps({"solver": args.solver, "status": result.status.value},
+                             sort_keys=True), file=out)
+        else:
+            print(f"status: {result.status.value}", file=out)
         return EXIT_FUEL
 
     checks = []

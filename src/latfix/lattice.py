@@ -103,6 +103,10 @@ class LatticeOps:
         """All domain values, in a fixed deterministic order (finite only)."""
         raise LatticeError(f"{self.name}: not enumerable")
 
+    def value_count(self) -> int:
+        """len(self.values()), without building the list (finite only)."""
+        raise LatticeError(f"{self.name}: not enumerable")
+
     def validate(self, v: Value) -> Value:
         raise NotImplementedError
 
@@ -156,6 +160,9 @@ class _ChainOps(LatticeOps):
 
     def values(self):
         return list(range(self.size))
+
+    def value_count(self):
+        return self.size
 
     def validate(self, v):
         if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < self.size:
@@ -217,6 +224,9 @@ class _PowersetOps(LatticeOps):
             for combo in itertools.combinations(ordered, k):
                 out.append(frozenset(combo))
         return out
+
+    def value_count(self):
+        return 2 ** len(self.atoms)
 
     def validate(self, v):
         if not isinstance(v, frozenset) or not v <= self.top:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 
 from .eqsys import (
@@ -49,6 +50,21 @@ class _Budget:
                 "shrink the instance")
 
 
+def _values(ops: LatticeOps, budget: _Budget) -> list:
+    """All of `ops`' values, for enumeration under `budget`.
+
+    A lattice with more values than the budget has evaluations is refused
+    before its values are built: a chain of 10**30 elements or a powerset of
+    40 atoms cannot be listed, let alone enumerated.
+    """
+    count = ops.value_count()
+    if count > budget.limit:
+        raise OracleBudgetError(
+            f"{ops.name} has {count} values, more than the enumeration budget "
+            f"of {budget.limit} evaluations; shrink the lattice")
+    return ops.values()
+
+
 def is_post_solution(assignment: Assignment, system: EquationSystem) -> bool:
     """f(top+sigma) <= sigma[y] for every y in the assignment's domain."""
     ops = assignment.ops
@@ -73,7 +89,7 @@ def is_post_solution_lower_mono(assignment: Assignment, system: EquationSystem,
     lookup = extend_top(assignment)
     base_map = {v: lookup(v) for v in variables}
     budget = _Budget(eval_budget)
-    all_values = ops.values()
+    all_values = _values(ops, budget)
     per_var = [[w for w in all_values if ops.leq(base_map[v], w)] for v in variables]
     for y in variables:
         bound = base_map[y]
@@ -100,14 +116,13 @@ class _Fork(Exception):
     """A replay in `_reads` reached a variable its path has not read yet."""
 
 
-def _reads(tree: Tree, ops: LatticeOps, budget: _Budget) -> set:
-    """The variables the tree reads under some assignment of `ops`' values.
+def _reads(tree: Tree, values: list, budget: _Budget) -> set:
+    """The variables the tree reads under some assignment of the values.
 
     Walks the tree's query paths: each replay answers a path's reads with the
     values chosen for them, and at its first fresh read the path forks over
     every value.  A variable read again on a path keeps its first value.
     """
-    values = ops.values()
     reads = set()
     paths = [()]
     while paths:
@@ -138,9 +153,9 @@ def rhs_monotone(tree: Tree, variables, ops: LatticeOps, *,
     linked by a chain of single-coordinate raises.  Only the variables that
     some query path reads are enumerated, since the value depends on no other.
     """
-    all_values = ops.values()
     budget = _Budget(eval_budget)
-    reads = _reads(tree, ops, budget)
+    all_values = _values(ops, budget)
+    reads = _reads(tree, all_values, budget)
     variables = [v for v in variables if v in reads]
     for combo in itertools.product(all_values, repeat=len(variables)):
         sigma = dict(zip(variables, combo))
@@ -185,23 +200,30 @@ def gen_random_system(seed: int, nvars: int, descriptor: LatticeDescriptor,
 
     Right-hand sides are DSL expressions over get/lit/join/meet, plus
     eq/leq-guarded conditionals when non-monotone shapes are allowed; every
-    query targets one of the generated variables.
+    query targets one of the generated variables.  Expressions share their
+    leaves: a system holds one `("get", y)` node per variable and one
+    `("lit", v)` node per distinct value, and variable names are interned,
+    so systems of any size share them.  Sharing changes no draw: the seed
+    alone fixes the expressions.
     """
     ops = make_domain(descriptor)
     if not ops.is_finite:
         raise OracleError("random systems are generated over finite lattices only")
     rng = random.Random(seed)
-    variables = [f"y{i + 1}" for i in range(nvars)]
+    variables = [sys.intern(f"y{i + 1}") for i in range(nvars)]
+    gets = [("get", v) for v in variables]
+    lits: dict = {}
+    forms = ("join", "meet") if monotone_only else ("join", "meet", "ite")
 
     def gen_expr(d):
         if d <= 0 or rng.random() < 0.35:
             if rng.random() < 0.6:
-                return ("get", rng.choice(variables))
-            return ("lit", ops.sample(rng))
-        forms = ["join", "meet", "ite"] if not monotone_only else ["join", "meet"]
+                return rng.choice(gets)
+            value = ops.sample(rng)
+            return lits.setdefault(value, ("lit", value))
         form = rng.choice(forms)
         if form == "ite":
-            guard = (rng.choice(["eq", "leq"]), gen_expr(d - 1), gen_expr(d - 1))
+            guard = (rng.choice(("eq", "leq")), gen_expr(d - 1), gen_expr(d - 1))
             return ("ite", guard, gen_expr(d - 1), gen_expr(d - 1))
         return (form, gen_expr(d - 1), gen_expr(d - 1))
 

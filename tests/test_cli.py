@@ -2,9 +2,11 @@
 
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latfix.cli import (
     EXIT_BUDGET,
@@ -12,6 +14,7 @@ from latfix.cli import (
     EXIT_FUEL,
     EXIT_OK,
     EXIT_USAGE,
+    SOLVERS,
     ParseError,
     compare_assignments,
     format_finite_file,
@@ -239,6 +242,14 @@ def test_fuel_limits_tstp_and_tsmp_only_when_given(command):
         assert "status: fuel-exhausted" in out
 
 
+@pytest.mark.parametrize("solver", ["tstp", "tsmp", "warrow"])
+def test_verify_json_reports_a_run_out_of_fuel_as_json(solver):
+    path = str(SAMPLES / "flipflop_chain4.lat")
+    code, out = run_cli("verify", solver, path, "--fuel", "1", "--json")
+    assert code == EXIT_FUEL
+    assert json.loads(out) == {"solver": solver, "status": "fuel-exhausted"}
+
+
 @pytest.mark.parametrize("fuel", ["0", "-5"])
 def test_solve_fuel_below_one_is_a_usage_error(capsys, fuel):
     path = str(SAMPLES / "flipflop_natinf.lat")
@@ -450,6 +461,21 @@ def test_verify_checks_the_run_from_the_given_start(tmp_path, solver):
         assert json.loads(out)["checks"]["post-solution (original)"] is expected
 
 
+@pytest.mark.parametrize("solver", ["tstp", "tsrr"])
+@pytest.mark.parametrize("lattice", ["chain " + "9" * 30,
+                                     "powerset " + " ".join(f"a{i}" for i in range(40))],
+                         ids=["chain", "powerset"])
+def test_verify_refuses_a_lattice_too_large_to_enumerate(tmp_path, capsys, solver,
+                                                         lattice):
+    # Listing these values would overflow (the chain) or take 2**40 steps
+    # (the powerset), so the oracle refuses them before it starts.
+    path = write(tmp_path, "big.lat", f"lattice {lattice}\nvar y1 = get y1\n")
+    code, out = run_cli("verify", solver, path)
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert "more than the enumeration budget" in capsys.readouterr().err
+
+
 def test_verify_rejects_infinite_lattice(tmp_path):
     path = write(tmp_path, "sys.lat", EX5_NATINF)
     code, _ = run_cli("verify", "tsmp", path)
@@ -470,3 +496,68 @@ def test_solve_runs_are_reproducible(tmp_path):
     first = run_cli("solve", "tstp", path, "--json")
     second = run_cli("solve", "tstp", path, "--json")
     assert first == second
+
+
+# --- fuzzing the command line with mutated samples ----------------------------------------------
+
+_TOKEN = re.compile(r"\s+|[()]|[^\s()]+")
+SAMPLE_TEXTS = {path.name: path.read_text() for path in sorted(SAMPLES.iterdir())}
+FUZZ_TOKENS = sorted(
+    {tok for text in SAMPLE_TEXTS.values() for tok in _TOKEN.findall(text)
+     if not tok.isspace()}
+    | {"(", ")", "#", "zz", "-1", "inf", "[3,1]", "{a,zz}", "9" * 30, "\u00e9", ":",
+       "\n"})
+
+
+@st.composite
+def mutated_invocations(draw):
+    """A sample file with one token deleted, duplicated or replaced, or cut
+    short, and a command line that runs it with capped fuel and budget."""
+    name = draw(st.sampled_from(sorted(SAMPLE_TEXTS)))
+    text = SAMPLE_TEXTS[name]
+    tokens = _TOKEN.findall(text)
+    i = draw(st.sampled_from([i for i, tok in enumerate(tokens) if not tok.isspace()]))
+    mutation = draw(st.sampled_from(["delete", "duplicate", "replace", "truncate"]))
+    if mutation == "delete":
+        del tokens[i]
+    elif mutation == "duplicate":
+        tokens[i:i + 1] = [tokens[i], " ", tokens[i]]
+    elif mutation == "replace":
+        tokens[i] = draw(st.sampled_from(FUZZ_TOKENS))
+    mutated = "".join(tokens)
+    if mutation == "truncate":
+        mutated = mutated[:draw(st.integers(0, len(mutated)))]
+
+    solvers = st.sampled_from(SOLVERS)
+    command = draw(st.sampled_from(["solve", "compare", "verify", "check-stratified"]))
+    before = [command]
+    if command == "compare":
+        before += [draw(solvers), draw(solvers)]
+    elif command != "check-stratified":
+        before.append(draw(solvers))
+    after = []
+    if command != "check-stratified":
+        after += ["--fuel", str(draw(st.integers(1, 50))),
+                  "--var-budget", str(draw(st.integers(1, 200)))]
+        names = re.findall(r"^(?:var|point) +(\S+)", text, re.M)
+        starts = names + [f"{n}:{v}" for n in names for v in ("0", "3", "inf", "[0,2]")]
+        start = draw(st.none() | st.sampled_from(starts + ["nosuch", "u:zz", ":", ""]))
+        if start is not None:
+            after += ["--start", start]
+    if draw(st.booleans()):
+        after.append("--json")
+    return name, mutated, before, after
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(deadline=None)
+@given(invocation=mutated_invocations())
+def test_cli_exits_with_a_documented_code_on_mutated_samples(fuzz_dir, invocation):
+    name, text, before, after = invocation
+    path = fuzz_dir / name
+    path.write_text(text, encoding="utf-8")
+    assert main([*before, str(path), *after], out=io.StringIO()) in range(5)

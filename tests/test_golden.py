@@ -12,7 +12,9 @@ byte, counts included, and is re-taken when a change lowers a count on
 purpose.  A change that alters any assignment, `sigma0`, other `Stats`
 field, status, CLI byte, exit code, rendered scheme or stratification
 outcome below fails here; a deliberate change of behaviour must say so and
-pin new digests.
+pin new digests.  A seventh digest pins the random systems themselves, at the
+sizes and lattices the benchmark generates, so a change to how the generator
+builds them must keep every draw.
 
 `python tests/test_golden.py` (with `src` on `PYTHONPATH`) prints the
 current digests and each solver's count totals, for re-pinning.
@@ -26,8 +28,10 @@ import re
 from pathlib import Path
 
 import latfix.cli
-from latfix import (VarBudgetExceeded, check_stratified, instantiate_system, tsmp,
-                    tsrr, tstp, warrow_solve)
+from latfix import (Chain, Powerset, VarBudgetExceeded, check_stratified,
+                    gen_random_system, instantiate_system, tsmp, tsrr, tstp,
+                    warrow_solve)
+from latfix.cli import FiniteProgram, format_finite_file
 
 from fixtures import capped, random_corpus
 
@@ -39,6 +43,7 @@ CLI_RESULTS_DIGEST = "d47baaeb3cf74b5de6113f33a0b66c6d04a640f645de2fd83ac9ec6351
 CLI_DIGEST = "453cf0dc03b8d88e6fcf0159732354ac7002e13b190ae54c7965be8b265fc046"
 SCHEME_RESULTS_DIGEST = "768bc9fbf42766877b49222bd868102a2395aec5be0d9adf770acd5921fedaad"
 SCHEME_DIGEST = "8ca53e567f7a4cfafc70477a41eac802df1fed83ed096eb4f10bec7f0cb6f2bd"
+GENERATOR_DIGEST = "d6868faf8d96dd4364b084c37ac8d5cdff938140f6e7db30be30715e0656809e"
 
 
 def _render(ops, values, key=repr):
@@ -161,6 +166,31 @@ def scheme_rendering():
     return "\n".join(lines)
 
 
+# The benchmark's finite lattices, each at the sizes the tests and the
+# benchmark generate, with and without non-monotone shapes.
+GENERATOR_LATTICES = [Chain(3), Chain(4), Chain(5), Chain(6), Powerset(("a", "b")),
+                      Powerset(("a", "b", "c")), Powerset(("a", "b", "c", "d"))]
+GENERATOR_SIZES = (1, 7, 150, 450)
+
+
+def generator_rendering():
+    """Every generated system rendered as a finite-system file.
+
+    The file format writes powerset values with sorted atoms, so the text does
+    not depend on set iteration order (`PYTHONHASHSEED`).
+    """
+    files = []
+    seed = 0
+    for descriptor in GENERATOR_LATTICES:
+        for nvars in GENERATOR_SIZES:
+            for monotone_only in (False, True):
+                seed += 1
+                gen = gen_random_system(seed, nvars, descriptor, 3, monotone_only)
+                files.append(format_finite_file(FiniteProgram(
+                    gen.ops, gen.variables, gen.exprs, gen.system)))
+    return "\n".join(files)
+
+
 def _digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -211,6 +241,10 @@ def test_cli_solve_output_over_samples_is_pinned():
     assert _digest(text) == CLI_DIGEST
 
 
+def test_generated_systems_are_pinned():
+    assert _digest(generator_rendering()) == GENERATOR_DIGEST
+
+
 def test_scheme_results_over_seeded_texts_are_pinned():
     text = scheme_rendering()
     assert _digest(_masked(text)) == SCHEME_RESULTS_DIGEST
@@ -225,3 +259,4 @@ if __name__ == "__main__":
         print(f'{name}_DIGEST = "{_digest(text)}"')
         for solver, row in count_totals(text).items():
             print(f"  {solver}: " + ", ".join(f"{k}={v:,}" for k, v in row.items()))
+    print(f'GENERATOR_DIGEST = "{_digest(generator_rendering())}"')

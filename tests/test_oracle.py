@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latfix import (
     Answer,
@@ -181,6 +182,27 @@ def test_lower_mono_check_agrees_with_the_reference():
     assert verdicts == {True, False}
 
 
+@st.composite
+def small_systems_with_assignments(draw):
+    descriptor = draw(st.sampled_from(
+        [Chain(2), Chain(3), Chain(4), Powerset(("a", "b"))]))
+    gen = gen_random_system(draw(st.integers(0, 2**32 - 1)),
+                            draw(st.integers(1, 3)), descriptor,
+                            draw(st.integers(1, 3)), draw(st.booleans()))
+    values = st.sampled_from(gen.ops.values())
+    return gen, Assignment(gen.ops, {y: draw(values) for y in gen.variables})
+
+
+@settings(deadline=None)
+@given(small_systems_with_assignments())
+def test_lower_mono_check_equals_the_reference(case):
+    gen, a = case
+    ops, variables, system = gen.ops, gen.variables, gen.system
+    expected = all(ops.leq(lower_mono_value(system.rhs(y), a, variables, ops), a[y])
+                   for y in variables)
+    assert is_post_solution_lower_mono(a, system, ops) == expected
+
+
 # --- soundness via Galois connections ----------------------------------------------------
 
 def test_check_sound_identity_cases():
@@ -221,6 +243,28 @@ def test_generator_is_deterministic():
     b = gen_random_system(1, 2, Chain(3), 2, monotone_only=True)
     assert a.exprs == b.exprs
     assert a.variables == b.variables
+
+
+def _leaves(expr):
+    if expr[0] in ("get", "lit"):
+        yield expr
+        return
+    for child in expr[1:]:
+        yield from _leaves(child)
+
+
+def test_generated_systems_share_leaves_and_names():
+    gen = gen_random_system(5, 150, Powerset(("a", "b", "c")), 3, monotone_only=False)
+    nodes: dict = {}
+    for expr in gen.exprs.values():
+        for leaf in _leaves(expr):
+            nodes.setdefault(leaf, set()).add(id(leaf))
+    assert {tag for tag, _ in nodes} == {"get", "lit"}
+    assert all(len(ids) == 1 for ids in nodes.values())
+    names = {id(y) for y in gen.variables}
+    assert all(id(leaf[1]) in names for leaf in nodes if leaf[0] == "get")
+    other = gen_random_system(6, 150, Chain(4), 2, monotone_only=True)
+    assert all(a is b for a, b in zip(gen.variables, other.variables))
 
 
 def test_monotone_corpus_is_monotone():
