@@ -20,7 +20,7 @@ schemes::
 
 Commands: solve, compare, check-stratified, verify.  Exit codes: 0 success,
 1 failed check/cycle, 2 parse or usage error, 3 fuel exhausted, 4 enumeration
-or variable budget exceeded, Python's recursion limit hit, or out of memory.
+or variable budget exceeded, or out of memory.
 """
 
 from __future__ import annotations
@@ -685,10 +685,6 @@ def main(argv=None, out=None) -> int:
         return EXIT_USAGE
     except (VarBudgetExceeded, OracleBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except RecursionError:
-        print("error: solving went deeper than Python's recursion limit",
-              file=sys.stderr)
         return EXIT_BUDGET
     except MemoryError:
         print("error: out of memory", file=sys.stderr)

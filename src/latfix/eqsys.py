@@ -34,7 +34,9 @@ their opcodes are the highest and `eval_tree` tells them from the rest with
 one comparison, right after the four instructions both languages use most.
 
 The lattice operations are looked up on the program's ops object when an
-instruction runs, never stored in the code.
+instruction runs, never stored in the code.  `eval_tree` serves `tsrr` and
+the checks; the demand-driven solvers' core runs the same instructions in its
+own loop, in the same operand and query order, with the solver's operations.
 """
 
 from __future__ import annotations

@@ -11,37 +11,51 @@ Four engines over one equation-system interface:
   warrow_solve  fuel-limited baseline on the tsmp skeleton that replaces the
                 phase flags with the derived warrowing operator
 
-The last three are drivers over one demand-driven core, `_demand`.  It gives
+The last three are entry points to one demand-driven core, `_demand`.  It gives
 each variable a dense int slot in discovery order, whose negation is its
-priority.  Influence sets, points, the work queue and the drivers' assignments
-all hold slots, so a look-up hashes its variable once; results are renamed
-back to variables.  The core detects widening/narrowing points dynamically (a
-variable queried at priority not below its querier's), keeps a priority queue
-with set semantics, and applies one update rule.  At points the driver's mode
-picks the operator: WIDEN widens (tstp's phase 0); NARROW narrows, and other
-variables take the meet, so values only descend (tstp's phase 1, tsmp with its
-flag set); WARROW narrows if the new value is below the old one and widens
+priority; influence sets, points, the queue and the assignments are indexed
+by slot.  The core detects widening/narrowing points dynamically (a variable
+queried at priority not below its querier's), keeps a priority queue with set
+semantics, and applies one update rule.  At points the mode picks the
+operator: WIDEN widens (tstp's phase 0); NARROW narrows, and other variables
+take the meet, so values only descend (tstp's phase 1, tsmp with its flag
+set); WARROW narrows if the new value is below the old one and widens
 otherwise (tsmp with its flag unset; narrowing sets the flag).  WARROW_LATE
 (warrow_solve) is WARROW with point membership sampled after the evaluation,
 so a self-dependency that evaluation finds already counts.  This lets the
 operator flip between widening and narrowing forever on non-monotonic systems:
 the divergence warrow_solve exists to exhibit, and why it runs on fuel.
 
-A look-up calls the driver's solve only for a variable not yet in the
-assignment it reads.  Every solver requests a variable's right-hand side
-once per solve: tsrr before it starts, the others at the variable's first
-evaluation, after the fuel check, so a run that runs dry on meeting an
-unknown variable reports that, not the unknown variable.  `tstp` and `tsmp`
-take an optional fuel as well; spending it ends the run with FUEL_EXHAUSTED
-and the partial assignments.
+The core is one loop over an explicit frame stack, a flat list in which each
+frame ends in its kind, so no input is too deep for it.  It runs programs
+itself, with `eval_tree`'s instructions in the same operand and query order,
+and serves a look-up of a variable already in the assignment read in place:
+slot (one hash), point mark, influence entry, value.  A first touch suspends
+the evaluation as a frame (reader, mode, point flag, code, pc, top, pending
+slot, bases in the shared value stack and record) and solves the variable
+above it; once that solve's frames are gone, the look-up completes with the
+saved slot.  A hand-built tree runs as a private program that queries the
+`Query` node held as its context.  Loop frames (lo, pending, mode)
+re-evaluate queued slots of at least lo: tstp's phase 0 and warrow_solve loop
+per first touch; in phase 1 an ENTER frame waits for a variable's phase-0
+solve, copies its value into sigma1, queues it with its readers and turns
+into the NARROW loop, and a loop that pops a slot not yet in sigma1 enters it
+(pending) and narrows it once that returns; tsmp's loop mode is its flag, and
+an evaluation (pending) that flips it below the loop nests a loop.
 
-tstp's phase 1 reuses results: a NARROW evaluation replays through its look-up
-the (variable, value) reads of its variable's last WIDEN evaluation.  A pure
-program reading these values makes these look-ups and returns the recorded
-result, which is reused; at a mismatch it runs, fed the values already read.
+Every solver requests a variable's right-hand side once per solve: tsrr
+before it starts, the others at the variable's first evaluation, after the
+fuel check, so a run that runs dry on meeting an unknown variable reports
+that, not the unknown variable.  `tstp` and `tsmp` take an optional fuel as
+well; spending it ends the run with FUEL_EXHAUSTED and the partial
+assignments.
 
-A demand-driven solver empties its nested functions' closure cells when done,
-so reference counting, not the rarely run cycle collector, frees its state.
+tstp's phase 1 reuses results: a WIDEN evaluation records its reads as replay
+code, GET z and a check of its value per read, ending in its result.  A
+NARROW evaluation runs its variable's record, if any, whose look-ups have the
+program's side effects; if every value is as recorded, the recorded result is
+reused.  At the first that is not, the program runs instead, counted as an
+evaluation and fed the values read so far, so no look-up happens twice.
 """
 
 from __future__ import annotations
@@ -50,7 +64,9 @@ import enum
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .eqsys import Assignment, EquationSystem, UnknownVariableError, eval_tree
+from .eqsys import (OP_CALL, OP_CELL, OP_CTX, OP_EQ, OP_GET, OP_INC, OP_JMP, OP_JOIN,
+                    OP_LEQ, OP_LIT, OP_MEET, Assignment, EquationSystem, Program, Query,
+                    UnknownVariableError, eval_tree)
 from .lattice import LatticeOps, Value
 
 
@@ -90,19 +106,31 @@ def warrow(ops: LatticeOps, a: Value, b: Value) -> Value:
     return ops.narrow(a, b) if ops.leq(b, a) else ops.widen(a, b)
 
 
-WIDEN, NARROW, WARROW, WARROW_LATE = range(4)
+WIDEN, NARROW, WARROW, WARROW_LATE, ENTER, SUSPENDED = range(6)
 _STALE = object()  # no evaluation result to reuse (None can be a value)
+_UNSET = object()  # outside the assignment
+
+# The core's own instructions, below `eqsys`'s opcodes: a replayed read's
+# check, and a hand-built tree's query and continuation.
+_CHECK, _TREE, _CONT = -1, -2, -3
+_TREE_CODE = (OP_CTX, _TREE, _CONT)  # run with the tree as its context
 
 
 class _OutOfFuel(Exception):
     pass
 
 
+def _unhashed(var):
+    """The slot look-up while a rerun is fed: it hashes and finds nothing."""
+    return None
+
+
 class _PrioQueue:
     """Priority queue with set semantics; inserting a present key is a no-op.
 
     Priorities are unique per solve and a key is in the heap at most once, so
-    heap entries never tie on the priority and keys are never compared.
+    heap entries never tie on the priority and keys are never compared.  The
+    demand-driven core pops `_heap` itself.
     """
 
     def __init__(self):
@@ -114,17 +142,6 @@ class _PrioQueue:
             return
         self._members.add(key)
         heappush(self._heap, (prio, key))
-
-    def extract_min(self):
-        _, key = heappop(self._heap)
-        self._members.discard(key)
-        return key
-
-    def min_prio(self):
-        return self._heap[0][0]
-
-    def __bool__(self):
-        return bool(self._heap)
 
 
 def tsrr(variables, system: EquationSystem, ops: LatticeOps) -> SolverResult:
@@ -211,135 +228,292 @@ def tsrr(variables, system: EquationSystem, ops: LatticeOps) -> SolverResult:
     return SolverResult(Assignment(ops, dict(zip(order, sigma))), stats, SolveStatus.COMPLETED)
 
 
-def _demand(system: EquationSystem, ops: LatticeOps, var_budget: int, fuel=None):
-    """The core of tstp, tsmp and warrow_solve (see the module docstring).
-
-    Returns (infl, queue, discover, requeue, reading, do_var, result); the
-    drivers own the assignments, keyed by slot.  do_var raises _OutOfFuel once
-    `fuel` evaluations are spent; a reused result is none.  A NARROW do_var
-    replays t's record with the look-ups' side effects, in the same order.
-    """
+def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
+            var_budget: int, fuel) -> SolverResult:
+    """tstp (first=WIDEN), tsmp (WARROW) or warrow_solve (WARROW_LATE); see
+    the module docstring.  `first` is the mode of a first touch's evaluation."""
     if fuel is not None and fuel < 1:
         raise ValueError("fuel must be >= 1")
-    slot: dict = {}         # variable -> slot
-    variables: list = []    # slot -> variable
-    trees: list = []        # slot -> right-hand side, once requested
-    infl: list = []         # slot -> slots of its readers
-    point: set = set()
+    if var_budget < 1:
+        raise VarBudgetExceeded(var_budget)
+    two_phase = first == WIDEN
+    flips = first == WARROW
+    join, meet, succ, eq, leq = ops.join, ops.meet, ops.succ, ops.eq, ops.leq
+    widen, narrow, bot = ops.widen, ops.narrow, ops.bot
+    system_rhs = system.rhs
+    slot = {start: 0}           # variable -> slot
+    slot_get = slot.get
+    variables = [start]         # slot -> variable
+    codes = [None]              # slot -> code of its right-hand side, once requested
+    ctxs = [None]               # slot -> the context it runs with
+    infl = [None]               # slot -> slots of its readers, once one registers
+    point = bytearray(1)        # slot -> 1 while it is marked as a point
+    sigma0 = [_UNSET]           # slot -> value, _UNSET outside the assignment
+    sigma1 = [_UNSET] if two_phase else sigma0  # tsmp and warrow_solve have one
+    entered = []                # slots in the order they entered sigma1
+    recorded = {}               # slot -> replay code of its last WIDEN evaluation
     queue = _PrioQueue()
-    stats = Stats()
-    reader = None  # the slot whose right-hand side is being evaluated
-    reads: list = []        # (variable, value) read by the WIDEN evaluations under way
-    recorded: dict = {}     # slot -> (reads, result): its record, while replays match
-
-    def discover(y):
-        t = len(variables)
-        if t >= var_budget:
-            raise VarBudgetExceeded(var_budget)
-        slot[y] = t
-        variables.append(y)
-        trees.append(None)
-        infl.append(set())
-        return t
-
-    def requeue(t):
-        for u in infl[t]:
-            queue.insert(-u, u)
-        infl[t] = set()
-
-    def reading(sigma, solve, record=False):
-        # One look-up per assignment; solve(t, n) gets the reader's priority n.
-        # Only tstp's phase 0 records its reads.  A flag keeps that in the one
-        # body: wrapping the look-up would add a frame per nesting level.
-        def lookup(z):
-            r = reader
-            t = slot.get(z)
-            if t is None:
-                t = discover(z)
-            if t not in sigma:
-                solve(t, -r)
-            if t <= r:
-                point.add(t)
-            infl[t].add(r)
-            if record:
-                reads.append((z, sigma[t]))
-            return sigma[t]
-
-        return lookup
-
-    def feeding(fed, lookup):
-        # `lookup`, but its first reads get the values of the iterator `fed`.
-        return lambda z: d if (d := next(fed, _STALE)) is not _STALE else lookup(z)
-
-    def do_var(t, sigma, mode, lookup):
-        """Re-evaluate t; True if stable, narrowed or in NARROW mode (sound)."""
-        nonlocal reader
-        if mode != WARROW_LATE:
-            isp = t in point
-            point.discard(t)
-        outer, reader = reader, t
-        new = _STALE
-        if mode == NARROW and t in recorded:  # replay t's record
-            seen, new = recorded[t]
-            for i, (z, d) in enumerate(seen):
-                v = lookup(z)
-                if v != d:
-                    new = _STALE
-                    del recorded[t]
-                    lookup = feeding(iter([d for _, d in seen[:i]] + [v]), lookup)
-                    break
-        if new is _STALE:
-            if stats.rhs_evals == fuel:
-                raise _OutOfFuel
-            stats.rhs_evals += 1
-            tree = trees[t]
-            if tree is None:
-                tree = trees[t] = system.rhs(variables[t])
-            if mode == WIDEN:  # only here, so tsmp's evaluations pay nothing for records
-                mark = len(reads)
-                new = eval_tree(tree, lookup)
-                recorded[t] = reads[mark:], new
-                del reads[mark:]
+    insert, heap, members = queue.insert, queue._heap, queue._members
+    evals = widen_apps = narrow_apps = 0
+    frames = []                 # loop frames and suspended evaluations (module docstring)
+    stack = []                  # the value stacks of every evaluation under way
+    push, pop = stack.append, stack.pop
+    reads = []                  # replay code of the WIDEN evaluations under way
+    nxt = ret = fed = None
+    isp = 0
+    # Solve the start as tstp's phase 1 does for a reader at priority 1.
+    u, r, mode = 0, -1, NARROW
+    try:
+        while True:
+            if u is not None:  # solve u, first touched by r's evaluation in `mode`
+                if two_phase and mode == NARROW:
+                    frames += r + 1, u, ENTER
+                if sigma0[u] is _UNSET:
+                    sigma0[u] = bot
+                    frames += u, u if flips else None, first
+                    nxt, nmode = u, first
+                u = None
+            # A loop frame (lo, pending, mode) re-evaluates queued slots of at least lo.
+            while nxt is None and frames and (fmode := frames[-1]) != SUSPENDED:
+                lo, pending = frames[-3], frames[-2]
+                if fmode == ENTER:  # pending's phase-0 solve returned
+                    sigma1[pending] = sigma0[pending]
+                    entered.append(pending)
+                    for w in (infl[pending] or set()) | {pending}:
+                        insert(-w, w)
+                    infl[pending] = None
+                    frames[-2] = None
+                    frames[-1] = fmode = NARROW
+                elif pending is not None:
+                    frames[-2] = None
+                    if not flips:  # pending's phase-1 solve returned: narrow it
+                        nxt, nmode = pending, NARROW
+                        continue
+                    m = NARROW if ret else WARROW  # tsmp: pending's evaluation returned
+                    if m != fmode and pending > lo:
+                        frames += pending, None, m
+                        continue
+                    frames[-1] = fmode = m
+                if heap and heap[0][1] >= lo:
+                    w = heappop(heap)[1]
+                    members.remove(w)
+                    if fmode == NARROW and sigma1[w] is _UNSET:  # only in tstp
+                        frames[-2] = w
+                        frames += w + 1, w, ENTER
+                    else:
+                        if flips:
+                            frames[-2] = w
+                        nxt, nmode = w, fmode
+                else:
+                    del frames[-3:]
+            if nxt is not None:  # evaluate nxt in nmode
+                r, mode, nxt = nxt, nmode, None
+                if mode != WARROW_LATE:
+                    isp = point[r]
+                    point[r] = 0
+                sig = sigma0 if mode == WIDEN else sigma1
+                base, mark = len(stack), len(reads)
+                pc, top = 0, None
+                code = recorded.get(r) if mode == NARROW else None
+                if code is None:
+                    if evals == fuel:
+                        raise _OutOfFuel
+                    evals += 1
+                    code = codes[r]
+                    if code is None:  # keep no Program: one fewer object per variable
+                        tree = system_rhs(variables[r])
+                        if tree.__class__ is Program:
+                            code, ctxs[r] = tree.code, tree.ctx
+                        else:
+                            code, ctxs[r] = _TREE_CODE, tree
+                        codes[r] = code
+                ctx = ctxs[r]
+                end = len(code)
+            elif frames:  # resume the evaluation on top: complete its look-up of u
+                r, mode, isp, code, pc, top, u, base, mark, _ = frames[-10:]
+                del frames[-10:]
+                ctx = ctxs[r]
+                end = len(code)
+                sig = sigma0 if mode == WIDEN else sigma1
+                v = sig[u]
+                if mode == WIDEN:
+                    reads += OP_GET, variables[u], _CHECK, v
+                if u <= r:
+                    point[u] = 1
+                s = infl[u]
+                if s is None:
+                    infl[u] = {r}
+                else:
+                    s.add(r)
+                top, u = v, None
             else:
-                new = eval_tree(tree, lookup)
-        reader = outer
-        if mode == WARROW_LATE:
-            isp = t in point
-            point.discard(t)
-        old = sigma[t]
-        sound = mode == NARROW
-        if isp:
-            if mode == WIDEN or not (sound or ops.leq(new, old)):
-                new = ops.widen(old, new)
-                stats.widen_apps += 1
-            else:
-                new = ops.narrow(old, new)
-                stats.narrow_apps += 1
-                sound = True
-        elif sound:
-            new = ops.meet(old, new)
-        if ops.eq(old, new):
-            # A stable evaluation leaves a value that is sound as it stands.
-            return True
-        sigma[t] = new
-        requeue(t)
-        return sound
-
-    def result(completed, sigma, sigma0=None):
-        """The driver's result, its assignments keyed by variable again."""
-        assert not (completed and queue)
-        stats.vars_encountered = len(variables)
-        if fuel is not None:
-            stats.fuel_used = stats.rhs_evals
-
-        def named(s):
-            return Assignment(ops, {variables[t]: d for t, d in s.items()})
-
-        status = SolveStatus.COMPLETED if completed else SolveStatus.FUEL_EXHAUSTED
-        return SolverResult(named(sigma), stats, status,
-                            None if sigma0 is None else named(sigma0))
-
-    return infl, queue, discover, requeue, reading, do_var, result
+                break
+            recording = mode == WIDEN
+            while pc < end:
+                op = code[pc]
+                if op == OP_GET:
+                    push(top)
+                    z = code[pc + 1]
+                    pc += 2
+                elif op == OP_LIT:
+                    push(top)
+                    top = code[pc + 1]
+                    pc += 2
+                    continue
+                elif op == OP_JOIN:
+                    top = join(pop(), top)
+                    pc += 1
+                    continue
+                elif op == OP_MEET:
+                    top = meet(pop(), top)
+                    pc += 1
+                    continue
+                elif op >= OP_CELL:
+                    if op == OP_CALL:
+                        arity = code[pc + 2]
+                        if arity == 1:
+                            top = code[pc + 1](top)
+                        else:
+                            push(top)
+                            args = stack[len(stack) - arity:]
+                            del stack[len(stack) - arity:]
+                            top = code[pc + 1](*args)
+                        pc += 3
+                        continue
+                    if op == OP_CTX:
+                        push(top)
+                        top = ctx
+                        pc += 1
+                        continue
+                    z = (code[pc + 1], top)
+                    pc += 2
+                elif op == OP_EQ:
+                    b = top
+                    a = pop()
+                    top = pop()
+                    pc = pc + 2 if eq(a, b) else code[pc + 1]
+                    continue
+                elif op == OP_LEQ:
+                    b = top
+                    a = pop()
+                    top = pop()
+                    pc = pc + 2 if leq(a, b) else code[pc + 1]
+                    continue
+                elif op == OP_JMP:
+                    pc = code[pc + 1]
+                    continue
+                elif op == OP_INC:
+                    top = succ(top)
+                    pc += 1
+                    continue
+                elif op == _CHECK:  # a replayed read
+                    if top != code[pc + 1]:
+                        # Run r's program instead, fed the values read so far.
+                        del recorded[r]
+                        if evals == fuel:
+                            raise _OutOfFuel
+                        evals += 1
+                        fed = code[3:pc:4]
+                        fed.append(top)
+                        fed.reverse()
+                        slot_get = _unhashed
+                        code, ctx = codes[r], ctxs[r]
+                        end = len(code)
+                        del stack[base:]
+                        pc, top = 0, None
+                        continue
+                    top = pop()
+                    pc += 2
+                    continue
+                elif op == _TREE:  # top is a tree node
+                    if not isinstance(top, Query):
+                        top = top.value
+                        pc += 2
+                        continue
+                    push(top)
+                    z = top.var
+                    pc += 1
+                else:  # _CONT: apply the node's continuation to the value read
+                    top = pop().cont(top)
+                    pc -= 1
+                    continue
+                # Look z up for the reader r.
+                u = slot_get(z)
+                if u is None or (v := sig[u]) is _UNSET or recording:
+                    if u is None:
+                        if fed:
+                            top = fed.pop()
+                            if not fed:
+                                slot_get = slot.get
+                            continue
+                        u = len(variables)
+                        if u >= var_budget:
+                            raise VarBudgetExceeded(var_budget)
+                        slot[z] = u
+                        variables.append(z)
+                        codes.append(None)
+                        ctxs.append(None)
+                        infl.append(None)
+                        point.append(0)
+                        sigma0.append(_UNSET)
+                        if two_phase:
+                            sigma1.append(_UNSET)
+                        break
+                    if v is _UNSET:
+                        break
+                    reads += OP_GET, z, _CHECK, v
+                if u <= r:
+                    point[u] = 1
+                s = infl[u]
+                if s is None:
+                    infl[u] = {r}
+                else:
+                    s.add(r)
+                top = v
+            else:  # r's evaluation returned top: update r
+                new = top
+                del stack[base:]
+                if mode == WIDEN:
+                    reads += OP_LIT, new
+                    recorded[r] = reads[mark:]
+                    del reads[mark:]
+                elif mode == WARROW_LATE:
+                    isp = point[r]
+                    point[r] = 0
+                old = sig[r]
+                ret = mode == NARROW  # sound: a NARROW update, a narrowing or a stable one
+                if isp:
+                    if mode == WIDEN or not (ret or leq(new, old)):
+                        new = widen(old, new)
+                        widen_apps += 1
+                    else:
+                        new = narrow(old, new)
+                        narrow_apps += 1
+                        ret = True
+                elif ret:
+                    new = meet(old, new)
+                if eq(old, new):
+                    ret = True
+                else:
+                    sig[r] = new
+                    for w in infl[r] or ():
+                        insert(-w, w)
+                    infl[r] = None
+                u = None
+                continue
+            frames += r, mode, isp, code, pc, top, u, base, mark, SUSPENDED
+        completed = True
+        assert not heap
+    except _OutOfFuel:
+        completed = False
+    stats = Stats(vars_encountered=len(variables), rhs_evals=evals, widen_apps=widen_apps,
+                  narrow_apps=narrow_apps, fuel_used=0 if fuel is None else evals)
+    status = SolveStatus.COMPLETED if completed else SolveStatus.FUEL_EXHAUSTED
+    sigma = Assignment(ops, dict(zip(variables, sigma0)))
+    if not two_phase:
+        return SolverResult(sigma, stats, status)
+    return SolverResult(Assignment(ops, {variables[t]: sigma1[t] for t in entered}),
+                        stats, status, sigma)
 
 
 def tstp(system: EquationSystem, start, ops: LatticeOps, *,
@@ -363,40 +537,7 @@ def tstp(system: EquationSystem, start, ops: LatticeOps, *,
     post-solution sigma0): sigma1 is a post-solution of f↓.  The paper's
     abstract gives no solver text; this clamp is a stated departure from it.
     """
-    infl, queue, discover, requeue, reading, do_var, result = _demand(
-        system, ops, var_budget, fuel)
-    sigma0: dict = {}
-    sigma1: dict = {}
-
-    def solve0(t, _n=None):
-        sigma0[t] = ops.bot
-        do_var(t, sigma0, WIDEN, eval0)
-        while queue and queue.min_prio() <= -t:
-            do_var(queue.extract_min(), sigma0, WIDEN, eval0)
-
-    def solve1(t, n):
-        # Variables with priority below n (the reader's) are stabilized first.
-        if t not in sigma0:
-            solve0(t)
-        sigma1[t] = sigma0[t]
-        infl[t].add(t)  # queue t itself along with its readers
-        requeue(t)
-        while queue and queue.min_prio() < n:
-            u = queue.extract_min()
-            if u not in sigma1:
-                solve1(u, -u)
-            do_var(u, sigma1, NARROW, eval1)
-
-    eval0 = reading(sigma0, solve0, record=True)
-    eval1 = reading(sigma1, solve1)
-    try:
-        solve1(discover(start), 1)
-        completed = True
-    except _OutOfFuel:
-        completed = False
-    # Break the closure cycle (see the module docstring).
-    del solve0, solve1, eval0, eval1
-    return result(completed, sigma1, sigma0)
+    return _demand(system, start, ops, WIDEN, var_budget, fuel)
 
 
 def tsmp(system: EquationSystem, start, ops: LatticeOps, *,
@@ -412,32 +553,7 @@ def tsmp(system: EquationSystem, start, ops: LatticeOps, *,
     the reason given there (points narrow, other variables take the meet): a
     clamp that is a stated departure from the paper's solver text.
     """
-    _, queue, discover, _, reading, do_var, result = _demand(
-        system, ops, var_budget, fuel)
-    sigma: dict = {}
-
-    def solve(t, _n=None):
-        sigma[t] = ops.bot
-        iterate(do_var(t, sigma, WARROW, lookup), -t)
-
-    def iterate(b, n):
-        while queue and queue.min_prio() <= n:
-            t = queue.extract_min()
-            b2 = do_var(t, sigma, NARROW if b else WARROW, lookup)
-            if b != b2 and n > -t:
-                iterate(b2, -t)
-            else:
-                b = b2
-
-    lookup = reading(sigma, solve)
-    try:
-        solve(discover(start))
-        completed = True
-    except _OutOfFuel:
-        completed = False
-    # Break the closure cycle (see the module docstring).
-    del solve, iterate, lookup
-    return result(completed, sigma)
+    return _demand(system, start, ops, WARROW, var_budget, fuel)
 
 
 def warrow_solve(system: EquationSystem, start, ops: LatticeOps, fuel: int, *,
@@ -449,22 +565,4 @@ def warrow_solve(system: EquationSystem, start, ops: LatticeOps, fuel: int, *,
     after the evaluation (WARROW_LATE, see the module docstring), so it can
     diverge.  Each evaluation burns one unit of fuel; running dry is a status.
     """
-    _, queue, discover, _, reading, do_var, result = _demand(
-        system, ops, var_budget, fuel)
-    sigma: dict = {}
-
-    def solve(t, _n=None):
-        sigma[t] = ops.bot
-        do_var(t, sigma, WARROW_LATE, lookup)
-        while queue and queue.min_prio() <= -t:
-            do_var(queue.extract_min(), sigma, WARROW_LATE, lookup)
-
-    lookup = reading(sigma, solve)
-    try:
-        solve(discover(start))
-        completed = True
-    except _OutOfFuel:
-        completed = False
-    # Break the closure cycle (see the module docstring).
-    del solve, lookup
-    return result(completed, sigma)
+    return _demand(system, start, ops, WARROW_LATE, var_budget, fuel)

@@ -98,6 +98,19 @@ def ring_text(n):
     return "\n".join(lines) + "\n"
 
 
+def stratified_chain_text(k):
+    """A natinf scheme of k points, each calling the next on a computed context.
+
+    Point p_i counts up on its own context and calls p_{i+1} on its own value,
+    so every point sits one level above the next; the last reads `lit 0`.
+    """
+    lines = ["scheme natinf", "start p0 0"]
+    for i in range(k):
+        call = f"(cell p{i + 1} (cell p{i} ctx))" if i + 1 < k else "(lit 0)"
+        lines.append(f"point p{i} = join (apply inc (cell p{i} ctx)) {call}")
+    return "\n".join(lines) + "\n"
+
+
 @contextlib.contextmanager
 def default_recursion_limit():
     """Run the body under Python's default recursion limit of 1,000 frames."""

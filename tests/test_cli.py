@@ -290,14 +290,15 @@ def test_solve_var_budget_exit(tmp_path):
 
 
 @pytest.mark.parametrize("solver", ["tstp", "tsmp"])
-def test_solve_recursion_limit_exit_at_default_budget(tmp_path, capsys, solver):
-    # Each fresh context nests the solver deeper; Python's recursion limit is
-    # reached long before the default variable budget.
+def test_solve_runaway_scheme_exits_at_the_default_var_budget(tmp_path, capsys, solver):
+    # Each fresh context suspends one more evaluation on the solver's frame
+    # stack, not on Python's, so the run goes on until the default budget
+    # of 10**6 variables is spent.
     path = write(tmp_path, "rec.sch", SCHEME_RECURSIVE)
     code, out = run_cli("solve", solver, path)
     assert code == EXIT_BUDGET
     assert out == ""
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == "error: variable budget of 1000000 exceeded\n"
 
 
 def test_tsrr_solves_rings_deeper_than_the_recursion_limit(tmp_path):
@@ -509,16 +510,45 @@ FUZZ_TOKENS = sorted(
        "\n"})
 
 
+# Literals of each sample's domain, for mutations that keep a file parseable.
+DOMAIN_LITERALS = {
+    "natinf": ["0", "1", "2", "5", "10", "inf"],
+    "interval": ["bot", "[0,0]", "[0,10]", "[-3,2]", "[1,inf]", "[-inf,inf]"],
+    "chain 4": ["0", "1", "2", "3"],
+}
+
+
+def _parseable_swaps(text, tokens):
+    """(index, replacements) for each literal and each use of a declared name."""
+    domain = re.search(r"^(?:lattice|scheme) +(.+?) *$", text, re.M).group(1)
+    names = re.findall(r"^(?:var|point) +(\S+)", text, re.M)
+    words = [tokens[i] for i, tok in enumerate(tokens) if not tok.isspace()]
+    positions = [i for i, tok in enumerate(tokens) if not tok.isspace()]
+    swaps = []
+    for k in range(2, len(words)):
+        if words[k - 1] == "lit" or words[k - 2] == "start":  # the start context too
+            swaps.append((positions[k], DOMAIN_LITERALS[domain]))
+        elif words[k - 1] in ("get", "cell", "start"):
+            swaps.append((positions[k], names))
+    return swaps
+
+
 @st.composite
 def mutated_invocations(draw):
     """A sample file with one token deleted, duplicated or replaced, or cut
-    short, and a command line that runs it with capped fuel and budget."""
+    short, or with a literal or a name swapped for another of its kind so
+    that it still parses, and a command line that runs it with capped fuel
+    and budget."""
     name = draw(st.sampled_from(sorted(SAMPLE_TEXTS)))
     text = SAMPLE_TEXTS[name]
     tokens = _TOKEN.findall(text)
     i = draw(st.sampled_from([i for i, tok in enumerate(tokens) if not tok.isspace()]))
-    mutation = draw(st.sampled_from(["delete", "duplicate", "replace", "truncate"]))
-    if mutation == "delete":
+    mutation = draw(st.sampled_from(["swap", "delete", "duplicate", "replace", "truncate"])
+                    | st.just("swap"))  # half the cases still parse
+    if mutation == "swap":
+        i, choices = draw(st.sampled_from(_parseable_swaps(text, tokens)))
+        tokens[i] = draw(st.sampled_from(choices))
+    elif mutation == "delete":
         del tokens[i]
     elif mutation == "duplicate":
         tokens[i:i + 1] = [tokens[i], " ", tokens[i]]

@@ -12,6 +12,7 @@ import latfix.cli
 from latfix import (
     Answer,
     BuiltinFn,
+    EquationSystem,
     Program,
     Scheme,
     compile_rhs_dsl,
@@ -217,6 +218,54 @@ def test_lookups_are_called_from_eval_tree_itself():
     eval_tree(instantiate_system(scheme).rhs(("u", 0)), lookup)
     assert len(callers) == 5
     assert set(callers) == {eval_tree.__code__}
+
+
+# --- the solver core's interpreter against eval_tree --------------------------------
+#
+# The demand-driven core runs programs and trees in its own loop.  Solving a
+# variable whose right-hand side is the program under test, while every
+# variable the program reads has a constant answer, evaluates it exactly
+# once, as a first update of an unread variable: tsmp's value for it is the
+# program's result, and its discovery order the program's first-read order.
+
+def _core_agrees_with_eval_tree(tree, ops, constants, sample):
+    def constant(var):
+        if var not in constants:
+            constants[var] = sample()
+        return constants[var]
+
+    value, trace = eval_tree_traced(tree, constant)
+    system = EquationSystem(lambda var: tree if var == "target" else Answer(constant(var)))
+    result = tsmp(system, "target", ops)
+    assert result.assignment["target"] == value
+    assert list(result.assignment.values)[1:] == list(dict.fromkeys(trace))
+
+
+def test_solver_core_runs_finite_programs_as_eval_tree_does():
+    rng = random.Random(14)
+    variables = ["y1", "y2", "y3"]
+    for ops in DOMAINS:
+        for _ in range(300):
+            expr = random_dsl(rng, ops, variables, rng.randint(0, 4))
+            for tree in (compile_rhs_dsl(expr, ops), reference_compile_dsl(expr, ops)):
+                _core_agrees_with_eval_tree(tree, ops, {}, lambda: ops.sample(rng))
+
+
+@pytest.mark.parametrize("kind", ["natinf", "interval"])
+def test_solver_core_runs_scheme_programs_as_eval_tree_does(kind):
+    rng = random.Random(15)
+    ops = make_domain(NatInf() if kind == "natinf" else Interval())
+    unary = SCHEME_BUILTINS[kind]
+    builtins = {name: resolve_builtin(name, ops) for name in unary}
+    points = ("u", "v", "w")
+    for _ in range(150):
+        expr = random_scheme_expr(rng, ops, points, unary, rng.randint(0, 4))
+        scheme = Scheme(ops, points, dict.fromkeys(points, expr), builtins,
+                        ("u", ops.bot)).validate()
+        ctx = ops.sample(rng)
+        for tree in (instantiate_system(scheme).rhs(("u", ctx)),
+                     reference_compile_dsl(expr, ops, builtins, ctx)):
+            _core_agrees_with_eval_tree(tree, ops, {}, lambda: ops.sample(rng))
 
 
 # --- golden: solver results over compiled and reference systems ----------------------

@@ -46,6 +46,7 @@ from fixtures import (
     reference_tstp,
     ring_text,
     solve_capped,
+    stratified_chain_text,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -161,6 +162,48 @@ def test_tsrr_ring_costs_grow_linearly():
     assert result.stats.rhs_evals == n + 51
     assert result.stats.widen_apps <= n + 100
     assert result.stats.narrow_apps <= 3 * n
+
+
+# --- depth: the demand-driven solvers keep their frames off Python's stack ---------
+
+def test_demand_driven_solvers_solve_rings_deeper_than_the_recursion_limit():
+    n = 10_000
+    prog = parse_finite_file(ring_text(n))
+    with default_recursion_limit():
+        results = [solver(prog.system, "y0", prog.ops) for solver in (tstp, tsmp)]
+        warrowed = warrow_solve(prog.system, "y0", prog.ops, n + 50)
+    for result in results:
+        assert result.status is SolveStatus.COMPLETED
+        assert set(values_of(result).values()) == {50}
+    assert warrowed.status is SolveStatus.COMPLETED
+    assert warrowed.assignment.dom == results[0].assignment.dom
+
+
+@pytest.mark.parametrize("nvars", [700, 5300])
+def test_demand_driven_solvers_solve_deep_random_systems(nvars):
+    gen = gen_random_system(7, nvars, Chain(5), 3, False)
+    with default_recursion_limit():
+        results = [solver(gen.system, gen.variables[0], gen.ops) for solver in (tstp, tsmp)]
+    for result in results:
+        assert result.status is SolveStatus.COMPLETED
+        assert is_closed(result.assignment, gen.system)
+    assert is_post_solution(results[0].sigma0, gen.system)
+    if nvars > 5000:
+        assert results[0].stats.vars_encountered >= 5000
+
+
+def test_demand_driven_solvers_solve_a_deep_stratified_chain():
+    scheme = parse_scheme_file(stratified_chain_text(1000))
+    levels = check_stratified(scheme)
+    assert isinstance(levels, dict) and check_levels(scheme, levels)
+    assert levels["p0"] == 999
+    system = instantiate_system(scheme)
+    for solver in (tstp, tsmp):
+        with default_recursion_limit():
+            result = solver(system, scheme.start, scheme.ops)
+        assert result.status is SolveStatus.COMPLETED
+        assert result.stats.vars_encountered == 1999
+        assert is_closed(result.assignment, system)
 
 
 # --- tstp -------------------------------------------------------------------------
