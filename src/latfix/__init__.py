@@ -32,7 +32,6 @@ from .solvers import (
     tsmp,
     tsrr,
     tstp,
-    warrow,
     warrow_solve,
 )
 from .interproc import (

@@ -17,6 +17,7 @@ contexts per point.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -161,70 +162,61 @@ def _cell_edges(point, expr):
                 yield from _cell_edges(point, a)
 
 
-def _tarjan_sccs(nodes, succs):
-    """SCCs in completion order: successors' components come first."""
-    index = {}
-    low = {}
-    stack = []
-    on_stack = set()
-    sccs = []
-    counter = [0]
+def _components(nodes, succs):
+    """Each node's strongly connected component number, by one Tarjan pass.
 
-    def strongconnect(root):
-        work = [(root, iter(succs[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+    Components are numbered as they complete, so an edge never leads to a
+    higher number: callees come first.  A node with an index but no number
+    yet is still on Tarjan's stack.
+    """
+    index, low, comp = {}, {}, {}
+    stack = []
+    count = 0
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, iter(succs[root]))]
         while work:
             node, it = work[-1]
-            advanced = False
             for nxt in it:
                 if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
+                    index[nxt] = low[nxt] = len(index)
                     stack.append(nxt)
-                    on_stack.add(nxt)
                     work.append((nxt, iter(succs[nxt])))
-                    advanced = True
                     break
-                if nxt in on_stack:
+                if nxt not in comp:
                     low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-
-    for node in nodes:
-        if node not in index:
-            strongconnect(node)
-    return sccs
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    while (member := stack.pop()) != node:
+                        comp[member] = count
+                    comp[node] = count
+                    count += 1
+    return comp
 
 
-def _cycle_through(src, dst, scc, succs):
-    """Path dst ->* src inside one SCC, returned as [src, dst, ..., src]."""
+def _cycle_through(src, dst, comp, succs):
+    """The cycle src -> dst ->* src inside src's component, as (src, dst, ..., src).
+
+    A breadth-first search from dst over the edges that stay in the component
+    (`comp` numbers them, see `_components`) finds a shortest way back to src.
+    """
     if src == dst:
         return (src, src)
-    component = set(scc)
     parent = {dst: None}
-    frontier = [dst]
+    frontier = deque([dst])
     while frontier:
-        node = frontier.pop(0)
+        node = frontier.popleft()
         if node == src:
             break
         for nxt in succs[node]:
-            if nxt in component and nxt not in parent:
+            if comp[nxt] == comp[src] and nxt not in parent:
                 parent[nxt] = node
                 frontier.append(nxt)
     path = [src]
@@ -244,6 +236,8 @@ def check_stratified(scheme: Scheme):
     The scheme is stratified iff no strict edge lies inside a strongly
     connected component; levels then count the longest strict-edge path in
     the condensation, with all points of one component sharing a level.
+    Callees' components are numbered lower, so one pass over the edges in
+    order of their source's component folds every level.
     """
     edges = []
     for u in scheme.points:
@@ -251,21 +245,13 @@ def check_stratified(scheme: Scheme):
     succs = {u: [] for u in scheme.points}
     for u, u2, _ in edges:
         succs[u].append(u2)
-    sccs = _tarjan_sccs(scheme.points, succs)
-    scc_of = {}
-    for i, component in enumerate(sccs):
-        for node in component:
-            scc_of[node] = i
+    comp = _components(scheme.points, succs)
     for u, u2, strict in edges:
-        if strict and scc_of[u] == scc_of[u2]:
-            return CounterexampleCycle(
-                _cycle_through(u, u2, sccs[scc_of[u]], succs))
-    level = [0] * len(sccs)
-    for i, component in enumerate(sccs):
-        members = set(component)
-        best = 0
-        for u, u2, strict in edges:
-            if u in members and u2 not in members:
-                best = max(best, level[scc_of[u2]] + (1 if strict else 0))
-        level[i] = best
-    return {u: level[scc_of[u]] for u in scheme.points}
+        if strict and comp[u] == comp[u2]:
+            return CounterexampleCycle(_cycle_through(u, u2, comp, succs))
+    level = [0] * len(scheme.points)
+    for u, u2, strict in sorted(edges, key=lambda edge: comp[edge[0]]):
+        c, c2 = comp[u], comp[u2]
+        if c != c2:
+            level[c] = max(level[c], level[c2] + strict)
+    return {u: level[comp[u]] for u in scheme.points}

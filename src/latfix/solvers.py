@@ -61,13 +61,14 @@ evaluation and fed the values read so far, so no look-up happens twice.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .eqsys import (OP_CALL, OP_CELL, OP_CTX, OP_EQ, OP_GET, OP_INC, OP_JMP, OP_JOIN,
                     OP_LEQ, OP_LIT, OP_MEET, Assignment, EquationSystem, Program, Query,
                     UnknownVariableError, eval_tree)
-from .lattice import LatticeOps, Value
+from .lattice import LatticeOps
 
 
 class SolveStatus(enum.Enum):
@@ -101,11 +102,6 @@ class VarBudgetExceeded(RuntimeError):
 DEFAULT_VAR_BUDGET = 10**6
 
 
-def warrow(ops: LatticeOps, a: Value, b: Value) -> Value:
-    """Derived operator: narrow when the new value is below the old, else widen."""
-    return ops.narrow(a, b) if ops.leq(b, a) else ops.widen(a, b)
-
-
 WIDEN, NARROW, WARROW, WARROW_LATE, ENTER, SUSPENDED = range(6)
 _STALE = object()  # no evaluation result to reuse (None can be a value)
 _UNSET = object()  # outside the assignment
@@ -126,22 +122,20 @@ def _unhashed(var):
 
 
 class _PrioQueue:
-    """Priority queue with set semantics; inserting a present key is a no-op.
-
-    Priorities are unique per solve and a key is in the heap at most once, so
-    heap entries never tie on the priority and keys are never compared.  The
-    demand-driven core pops `_heap` itself.
+    """Queue of slots, highest first, with set semantics: inserting a present
+    slot is a no-op.  The heap holds negated slots; the demand-driven core pops
+    `_heap` itself.
     """
 
     def __init__(self):
         self._heap = []
         self._members = set()
 
-    def insert(self, prio, key):
-        if key in self._members:
+    def insert(self, slot):
+        if slot in self._members:
             return
-        self._members.add(key)
-        heappush(self._heap, (prio, key))
+        self._members.add(slot)
+        heappush(self._heap, -slot)
 
 
 def tsrr(variables, system: EquationSystem, ops: LatticeOps) -> SolverResult:
@@ -166,6 +160,10 @@ def tsrr(variables, system: EquationSystem, ops: LatticeOps) -> SolverResult:
     operations, the steps skipped are exactly those that would keep the old
     value: assignments and evaluations, in order, are the full sweeps', and
     only `widen_apps` and `narrow_apps` fall.
+
+    A change at level k starts a new sweep of k and every larger level with
+    its flag.  The sweeps in force form a stack of rising start levels, and a
+    level's flag is that of the last sweep starting at or below it.
     """
     order = list(variables)
     n = len(order)
@@ -177,7 +175,8 @@ def tsrr(variables, system: EquationSystem, ops: LatticeOps) -> SolverResult:
     sigma = [ops.bot] * n
     last = [_STALE] * n             # level -> its last evaluation's result
     infl = [set() for _ in order]   # level -> levels that read it since it changed
-    flags = [False] * n             # level -> `b` of its current sweep
+    sweeps = [0]                    # levels where a sweep started, rising
+    sweep_flags = [False]           # sweep -> its `b`, the flag of the levels it covers
     work = list(range(1 - n, 1))    # unsettled levels, negated: a max-heap
     parked = ([], [])               # flag -> heap of (-level, stamp) settled by it alone
     stamp = [0] * n                 # level -> rule applications, to spot stale entries
@@ -202,7 +201,7 @@ def tsrr(variables, system: EquationSystem, ops: LatticeOps) -> SolverResult:
             new = last[k] = eval_tree(trees[k], lookup)
         old = sigma[k]
         below = ops.leq(new, old)
-        b = flags[k] or below
+        b = sweep_flags[bisect_right(sweeps, k) - 1] or below
         if b:
             new = ops.narrow(old, new)
             stats.narrow_apps += 1
@@ -218,7 +217,10 @@ def tsrr(variables, system: EquationSystem, ops: LatticeOps) -> SolverResult:
             last[r] = _STALE
             heappush(work, -r)
         infl[k] = set()
-        flags[k:] = [b] * (n - k)  # a new sweep of k and every level below it
+        i = bisect_left(sweeps, k)  # a new sweep of k and every level below it
+        del sweeps[i:], sweep_flags[i:]
+        sweeps.append(k)
+        sweep_flags.append(b)
         heappush(work, -k)  # the rule may move k again, as narrowing after widening
         flipped = parked[not b]
         while flipped and flipped[0][0] < -k:
@@ -280,7 +282,7 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                     sigma1[pending] = sigma0[pending]
                     entered.append(pending)
                     for w in (infl[pending] or set()) | {pending}:
-                        insert(-w, w)
+                        insert(w)
                     infl[pending] = None
                     frames[-2] = None
                     frames[-1] = fmode = NARROW
@@ -294,8 +296,8 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                         frames += pending, None, m
                         continue
                     frames[-1] = fmode = m
-                if heap and heap[0][1] >= lo:
-                    w = heappop(heap)[1]
+                if heap and -heap[0] >= lo:
+                    w = -heappop(heap)
                     members.remove(w)
                     if fmode == NARROW and sigma1[w] is _UNSET:  # only in tstp
                         frames[-2] = w
@@ -497,7 +499,7 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                 else:
                     sig[r] = new
                     for w in infl[r] or ():
-                        insert(-w, w)
+                        insert(w)
                     infl[r] = None
                 u = None
                 continue

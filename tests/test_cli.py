@@ -23,7 +23,8 @@ from latfix.cli import (
     parse_finite_file,
     parse_scheme_file,
 )
-from latfix.lattice import NatInf
+from latfix import Assignment, Stats
+from latfix.lattice import NatInf, Powerset, make_domain
 
 from fixtures import (
     EX1_NATINF,
@@ -346,6 +347,9 @@ def test_compare_tsmp_tstp(tmp_path):
     assert payload["b_more_precise"] == 0
     assert payload["incomparable"] == 0
     assert set(payload["stats_a"]) == {"vars", "evals", "widen_apps", "narrow_apps"}
+    code, out = run_cli("compare", "tstp", "tsmp", path, "--json")
+    swapped = json.loads(out)
+    assert (swapped["a_more_precise"], swapped["b_more_precise"]) == (0, 1)
 
 
 def test_compare_self_is_all_equal(tmp_path):
@@ -366,6 +370,15 @@ def test_compare_report_buckets_sum():
                                  a.stats, b.stats)
     assert (report.equal + report.a_more_precise + report.b_more_precise
             + report.incomparable) == report.shared_vars
+
+
+def test_compare_report_counts_incomparable_values():
+    ops = make_domain(Powerset(("a", "b")))
+    a = Assignment(ops, {"y": ops.parse("{a}")})
+    b = Assignment(ops, {"y": ops.parse("{b}")})
+    report = compare_assignments(ops, a, b, Stats(), Stats())
+    assert (report.shared_vars, report.incomparable) == (1, 1)
+    assert report.equal == report.a_more_precise == report.b_more_precise == 0
 
 
 # --- check-stratified ----------------------------------------------------------------------

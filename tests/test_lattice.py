@@ -15,7 +15,6 @@ from latfix.lattice import (
     Powerset,
     make_domain,
 )
-from latfix.solvers import warrow
 
 CHAIN5 = make_domain(Chain(5))
 POW_AB = make_domain(Powerset(("a", "b")))
@@ -232,13 +231,6 @@ def test_widening_and_narrowing_chains_stabilize(ops):
                 steps += 1
             a = nxt
         assert steps <= narrow_bound
-
-
-@pytest.mark.parametrize("ops", ALL_DOMAINS, ids=lambda o: o.name)
-def test_warrow_selects_by_comparison(ops):
-    for a, b in pairs(ops, 2000, seed=3):
-        expected = ops.narrow(a, b) if ops.leq(b, a) else ops.widen(a, b)
-        assert ops.eq(warrow(ops, a, b), expected)
 
 
 # --- codec ----------------------------------------------------------------------

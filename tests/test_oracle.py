@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from latfix import (
     Answer,
     Assignment,
+    OracleBudgetError,
     OracleError,
     SolveStatus,
     compile_rhs_dsl,
@@ -150,6 +151,16 @@ def test_is_post_solution_lower_mono_examples():
     ops2, system2, _ = finite_system("lattice chain 4\nvar y = lit 3\n")
     assert not is_post_solution_lower_mono(
         Assignment(ops2, {"y": 1}), system2, ops2)
+
+
+def test_lower_mono_check_refuses_past_its_evaluation_budget():
+    # Refuting y = 1 enumerates all 3 * 4 assignments at or above (1, 0).
+    ops, system, _ = finite_system("lattice chain 4\nvar y = lit 3\nvar z = get y\n")
+    refuted = Assignment(ops, {"y": 1, "z": 0})
+    assert not is_post_solution_lower_mono(refuted, system, ops, eval_budget=12)
+    with pytest.raises(OracleBudgetError,
+                       match="enumeration budget of 11 evaluations exceeded"):
+        is_post_solution_lower_mono(refuted, system, ops, eval_budget=11)
 
 
 def test_post_solution_implies_lower_mono_post_exhaustive():

@@ -155,7 +155,7 @@ def test_tsrr_solves_rings_deeper_than_the_recursion_limit():
 def test_tsrr_ring_costs_grow_linearly():
     # Each change re-applies the rule only where it can reach: the full
     # sweeps applied it some n * n times here.
-    n = 10_000
+    n = 100_000
     prog = parse_finite_file(ring_text(n))
     result = tsrr(prog.var_order, prog.system, prog.ops)
     assert set(values_of(result).values()) == {50}
@@ -193,16 +193,18 @@ def test_demand_driven_solvers_solve_deep_random_systems(nvars):
 
 
 def test_demand_driven_solvers_solve_a_deep_stratified_chain():
-    scheme = parse_scheme_file(stratified_chain_text(1000))
+    n = 8000
+    scheme = parse_scheme_file(stratified_chain_text(n))
     levels = check_stratified(scheme)
-    assert isinstance(levels, dict) and check_levels(scheme, levels)
-    assert levels["p0"] == 999
+    assert levels == {f"p{i}": n - 1 - i for i in range(n)}
+    assert check_levels(scheme, levels)
     system = instantiate_system(scheme)
     for solver in (tstp, tsmp):
         with default_recursion_limit():
             result = solver(system, scheme.start, scheme.ops)
         assert result.status is SolveStatus.COMPLETED
-        assert result.stats.vars_encountered == 1999
+        assert result.stats.vars_encountered == 2 * n - 1
+        assert result.stats.rhs_evals == 4 * n
         assert is_closed(result.assignment, system)
 
 
