@@ -31,17 +31,19 @@ frame ends in its kind, so no input is too deep for it.  It runs programs
 itself, with `eval_tree`'s instructions in the same operand and query order,
 and serves a look-up of a variable already in the assignment read in place:
 slot (one hash), point mark, influence entry, value.  A first touch suspends
-the evaluation as a frame (reader, mode, point flag, code, pc, top, pending
-slot, bases in the shared value stack and record) and solves the variable
-above it; once that solve's frames are gone, the look-up completes with the
-saved slot.  A hand-built tree runs as a private program that queries the
-`Query` node held as its context.  Loop frames (lo, pending, mode)
-re-evaluate queued slots of at least lo: tstp's phase 0 and warrow_solve loop
-per first touch; in phase 1 an ENTER frame waits for a variable's phase-0
-solve, copies its value into sigma1, queues it with its readers and turns
-into the NARROW loop, and a loop that pops a slot not yet in sigma1 enters it
-(pending) and narrows it once that returns; tsmp's loop mode is its flag, and
-an evaluation (pending) that flips it below the loop nests a loop.
+the evaluation as a frame (reader, mode, point flag, pc, pending slot, bases
+in the shared value stack and record list, SUSPENDED), and solves the
+variable above it; once that solve's frames are gone, the look-up completes
+with the saved slot.  The frame needs no code, which is the reader's own
+right-hand side, and no stack top, which the value read replaces.  A hand-built tree runs as
+a private program that queries the `Query` node held as its context.  Loop
+frames (lo, pending, mode) re-evaluate queued slots of at least lo: tstp's
+phase 0 and warrow_solve loop per first touch; in phase 1 an ENTER frame
+waits for a variable's phase-0 solve, copies its value into sigma1, queues
+it with its readers and turns into the NARROW loop, and a loop that pops a
+slot not yet in sigma1 enters it (pending) and narrows it once that returns;
+tsmp's loop mode is its flag, and an evaluation (pending) that flips it below
+the loop nests a loop.
 
 Every solver requests a variable's right-hand side once per solve: tsrr
 before it starts, the others at the variable's first evaluation, after the
@@ -50,12 +52,18 @@ that, not the unknown variable.  `tstp` and `tsmp` take an optional fuel as
 well; spending it ends the run with FUEL_EXHAUSTED and the partial
 assignments.
 
-tstp's phase 1 reuses results: a WIDEN evaluation records its reads as replay
-code, GET z and a check of its value per read, ending in its result.  A
-NARROW evaluation runs its variable's record, if any, whose look-ups have the
-program's side effects; if every value is as recorded, the recorded result is
-reused.  At the first that is not, the program runs instead, counted as an
-evaluation and fed the values read so far, so no look-up happens twice.
+tstp's phase 1 reuses results: a WIDEN evaluation records its reads as data,
+one flat list of variable and value per read, in order, ending in its result.
+A NARROW evaluation of a variable with a record replays it in a loop of its
+own, which per read does what a program's look-up does (slot, by one hash of
+the recorded variable; sigma1 value; point mark; influence entry) and then
+compares the value with the recorded one.  A variable not yet in sigma1
+suspends the replay as it would a program, as the frame (reader, point flag,
+record, position, pending slot, REPLAYING).  If every value is as
+recorded, the recorded result is reused, which is no evaluation.  At the
+first that is not, the record is dropped and the program runs instead,
+counted as an evaluation (after the fuel check) and fed the values read so
+far, so no look-up happens twice.
 """
 
 from __future__ import annotations
@@ -102,13 +110,16 @@ class VarBudgetExceeded(RuntimeError):
 DEFAULT_VAR_BUDGET = 10**6
 
 
-WIDEN, NARROW, WARROW, WARROW_LATE, ENTER, SUSPENDED = range(6)
+# Modes of an evaluation or a loop frame, up to ENTER; above them, the last
+# cells of a suspended program's frame and of a suspended replay's.  `_demand`
+# reads them, and the core's instructions below, as locals without the `_`.
+_WIDEN, _NARROW, _WARROW, _WARROW_LATE, _ENTER, _SUSPENDED, _REPLAYING = range(7)
 _STALE = object()  # no evaluation result to reuse (None can be a value)
 _UNSET = object()  # outside the assignment
 
-# The core's own instructions, below `eqsys`'s opcodes: a replayed read's
-# check, and a hand-built tree's query and continuation.
-_CHECK, _TREE, _CONT = -1, -2, -3
+# The core's own instructions, below `eqsys`'s opcodes: a hand-built tree's
+# query and continuation.
+_TREE, _CONT = -1, -2
 _TREE_CODE = (OP_CTX, _TREE, _CONT)  # run with the tree as its context
 
 
@@ -117,7 +128,7 @@ class _OutOfFuel(Exception):
 
 
 def _unhashed(var):
-    """The slot look-up while a rerun is fed: it hashes and finds nothing."""
+    """The slot look-up while a rerun is fed: it hashes nothing and finds nothing."""
     return None
 
 
@@ -234,6 +245,11 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
             var_budget: int, fuel) -> SolverResult:
     """tstp (first=WIDEN), tsmp (WARROW) or warrow_solve (WARROW_LATE); see
     the module docstring.  `first` is the mode of a first touch's evaluation."""
+    WIDEN, NARROW, WARROW, WARROW_LATE, ENTER, SUSPENDED, REPLAYING, UNSET = (
+        _WIDEN, _NARROW, _WARROW, _WARROW_LATE, _ENTER, _SUSPENDED, _REPLAYING, _UNSET)
+    GET, LIT, JOIN, MEET, INC, EQ, LEQ, JMP, CELL, CTX, CALL, TREE = (
+        OP_GET, OP_LIT, OP_JOIN, OP_MEET, OP_INC, OP_EQ, OP_LEQ, OP_JMP, OP_CELL, OP_CTX,
+        OP_CALL, _TREE)
     if fuel is not None and fuel < 1:
         raise ValueError("fuel must be >= 1")
     if var_budget < 1:
@@ -250,17 +266,17 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
     ctxs = [None]               # slot -> the context it runs with
     infl = [None]               # slot -> slots of its readers, once one registers
     point = bytearray(1)        # slot -> 1 while it is marked as a point
-    sigma0 = [_UNSET]           # slot -> value, _UNSET outside the assignment
-    sigma1 = [_UNSET] if two_phase else sigma0  # tsmp and warrow_solve have one
+    sigma0 = [UNSET]            # slot -> value, UNSET outside the assignment
+    sigma1 = [UNSET] if two_phase else sigma0  # tsmp and warrow_solve have one
     entered = []                # slots in the order they entered sigma1
-    recorded = {}               # slot -> replay code of its last WIDEN evaluation
+    recorded = {}               # slot -> record of its last WIDEN evaluation
     queue = _PrioQueue()
     insert, heap, members = queue.insert, queue._heap, queue._members
     evals = widen_apps = narrow_apps = 0
     frames = []                 # loop frames and suspended evaluations (module docstring)
     stack = []                  # the value stacks of every evaluation under way
     push, pop = stack.append, stack.pop
-    reads = []                  # replay code of the WIDEN evaluations under way
+    reads = []                  # the records of the WIDEN evaluations under way
     nxt = ret = fed = None
     isp = 0
     # Solve the start as tstp's phase 1 does for a reader at priority 1.
@@ -270,18 +286,21 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
             if u is not None:  # solve u, first touched by r's evaluation in `mode`
                 if two_phase and mode == NARROW:
                     frames += r + 1, u, ENTER
-                if sigma0[u] is _UNSET:
+                if sigma0[u] is UNSET:
                     sigma0[u] = bot
                     frames += u, u if flips else None, first
                     nxt, nmode = u, first
                 u = None
             # A loop frame (lo, pending, mode) re-evaluates queued slots of at least lo.
-            while nxt is None and frames and (fmode := frames[-1]) != SUSPENDED:
+            while nxt is None and frames and (fmode := frames[-1]) <= ENTER:
                 lo, pending = frames[-3], frames[-2]
                 if fmode == ENTER:  # pending's phase-0 solve returned
                     sigma1[pending] = sigma0[pending]
                     entered.append(pending)
-                    for w in (infl[pending] or set()) | {pending}:
+                    s = infl[pending]
+                    if s is None or pending not in s:
+                        insert(pending)
+                    for w in s or ():
                         insert(w)
                     infl[pending] = None
                     frames[-2] = None
@@ -299,7 +318,7 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                 if heap and -heap[0] >= lo:
                     w = -heappop(heap)
                     members.remove(w)
-                    if fmode == NARROW and sigma1[w] is _UNSET:  # only in tstp
+                    if fmode == NARROW and sigma1[w] is UNSET:  # only in tstp
                         frames[-2] = w
                         frames += w + 1, w, ENTER
                     else:
@@ -308,16 +327,18 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                         nxt, nmode = w, fmode
                 else:
                     del frames[-3:]
+            rec = None
             if nxt is not None:  # evaluate nxt in nmode
                 r, mode, nxt = nxt, nmode, None
                 if mode != WARROW_LATE:
                     isp = point[r]
                     point[r] = 0
                 sig = sigma0 if mode == WIDEN else sigma1
-                base, mark = len(stack), len(reads)
-                pc, top = 0, None
-                code = recorded.get(r) if mode == NARROW else None
-                if code is None:
+                if mode == NARROW and (rec := recorded.get(r)) is not None:
+                    i, n = 0, len(rec) - 1
+                    if n:
+                        u = slot_get(rec[0])
+                else:
                     if evals == fuel:
                         raise _OutOfFuel
                     evals += 1
@@ -329,17 +350,25 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                         else:
                             code, ctxs[r] = _TREE_CODE, tree
                         codes[r] = code
-                ctx = ctxs[r]
-                end = len(code)
-            elif frames:  # resume the evaluation on top: complete its look-up of u
-                r, mode, isp, code, pc, top, u, base, mark, _ = frames[-10:]
-                del frames[-10:]
-                ctx = ctxs[r]
+                    ctx = ctxs[r]
+                    end = len(code)
+                    base, mark = len(stack), len(reads)
+                    pc, top = 0, None
+            elif not frames:
+                break
+            elif frames[-1] == REPLAYING:  # the replay loop completes its look-up of u
+                r, isp, rec, i, u, _ = frames[-6:]
+                del frames[-6:]
+                mode, sig, n = NARROW, sigma1, len(rec) - 1
+            else:  # resume the program on top: complete its look-up of u
+                r, mode, isp, pc, u, base, mark, _ = frames[-8:]
+                del frames[-8:]
+                code, ctx = codes[r], ctxs[r]
                 end = len(code)
                 sig = sigma0 if mode == WIDEN else sigma1
                 v = sig[u]
                 if mode == WIDEN:
-                    reads += OP_GET, variables[u], _CHECK, v
+                    reads += variables[u], v
                 if u <= r:
                     point[u] = 1
                 s = infl[u]
@@ -348,30 +377,63 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                 else:
                     s.add(r)
                 top, u = v, None
-            else:
-                break
+            if rec is not None:  # replay r's record: each read's look-up, then its check
+                while i < n:  # u is the slot of rec[i]
+                    v = sig[u]
+                    if v is UNSET:
+                        break
+                    if u <= r:
+                        point[u] = 1
+                    s = infl[u]
+                    if s is None:
+                        infl[u] = {r}
+                    else:
+                        s.add(r)
+                    if v != rec[i + 1]:
+                        break
+                    i += 2
+                    if i < n:
+                        u = slot_get(rec[i])
+                if i == n:  # every value as recorded: an empty program returns the result
+                    top, pc, end, base = rec[n], 0, 0, len(stack)
+                elif v is UNSET:  # solve u, then resume the replay
+                    frames += r, isp, rec, i, u, REPLAYING
+                    continue
+                else:  # run r's program instead, fed the values read so far
+                    del recorded[r]
+                    if evals == fuel:
+                        raise _OutOfFuel
+                    evals += 1
+                    fed = rec[1:i:2]
+                    fed.append(v)
+                    fed.reverse()
+                    slot_get = _unhashed
+                    code, ctx = codes[r], ctxs[r]
+                    end = len(code)
+                    base = len(stack)
+                    pc, top = 0, None
             recording = mode == WIDEN
             while pc < end:
                 op = code[pc]
-                if op == OP_GET:
+                if op == GET:
                     push(top)
                     z = code[pc + 1]
                     pc += 2
-                elif op == OP_LIT:
+                elif op == LIT:
                     push(top)
                     top = code[pc + 1]
                     pc += 2
                     continue
-                elif op == OP_JOIN:
+                elif op == JOIN:
                     top = join(pop(), top)
                     pc += 1
                     continue
-                elif op == OP_MEET:
+                elif op == MEET:
                     top = meet(pop(), top)
                     pc += 1
                     continue
-                elif op >= OP_CELL:
-                    if op == OP_CALL:
+                elif op >= CELL:
+                    if op == CALL:
                         arity = code[pc + 2]
                         if arity == 1:
                             top = code[pc + 1](top)
@@ -382,52 +444,33 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                             top = code[pc + 1](*args)
                         pc += 3
                         continue
-                    if op == OP_CTX:
+                    if op == CTX:
                         push(top)
                         top = ctx
                         pc += 1
                         continue
                     z = (code[pc + 1], top)
                     pc += 2
-                elif op == OP_EQ:
+                elif op == EQ:
                     b = top
                     a = pop()
                     top = pop()
                     pc = pc + 2 if eq(a, b) else code[pc + 1]
                     continue
-                elif op == OP_LEQ:
+                elif op == LEQ:
                     b = top
                     a = pop()
                     top = pop()
                     pc = pc + 2 if leq(a, b) else code[pc + 1]
                     continue
-                elif op == OP_JMP:
+                elif op == JMP:
                     pc = code[pc + 1]
                     continue
-                elif op == OP_INC:
+                elif op == INC:
                     top = succ(top)
                     pc += 1
                     continue
-                elif op == _CHECK:  # a replayed read
-                    if top != code[pc + 1]:
-                        # Run r's program instead, fed the values read so far.
-                        del recorded[r]
-                        if evals == fuel:
-                            raise _OutOfFuel
-                        evals += 1
-                        fed = code[3:pc:4]
-                        fed.append(top)
-                        fed.reverse()
-                        slot_get = _unhashed
-                        code, ctx = codes[r], ctxs[r]
-                        end = len(code)
-                        del stack[base:]
-                        pc, top = 0, None
-                        continue
-                    top = pop()
-                    pc += 2
-                    continue
-                elif op == _TREE:  # top is a tree node
+                elif op == TREE:  # top is a tree node
                     if not isinstance(top, Query):
                         top = top.value
                         pc += 2
@@ -441,7 +484,7 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                     continue
                 # Look z up for the reader r.
                 u = slot_get(z)
-                if u is None or (v := sig[u]) is _UNSET or recording:
+                if u is None or (v := sig[u]) is UNSET or recording:
                     if u is None:
                         if fed:
                             top = fed.pop()
@@ -457,13 +500,13 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                         ctxs.append(None)
                         infl.append(None)
                         point.append(0)
-                        sigma0.append(_UNSET)
+                        sigma0.append(UNSET)
                         if two_phase:
-                            sigma1.append(_UNSET)
+                            sigma1.append(UNSET)
                         break
-                    if v is _UNSET:
+                    if v is UNSET:
                         break
-                    reads += OP_GET, z, _CHECK, v
+                    reads += z, v
                 if u <= r:
                     point[u] = 1
                 s = infl[u]
@@ -476,7 +519,7 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                 new = top
                 del stack[base:]
                 if mode == WIDEN:
-                    reads += OP_LIT, new
+                    reads.append(new)
                     recorded[r] = reads[mark:]
                     del reads[mark:]
                 elif mode == WARROW_LATE:
@@ -503,7 +546,7 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                     infl[r] = None
                 u = None
                 continue
-            frames += r, mode, isp, code, pc, top, u, base, mark, SUSPENDED
+            frames += r, mode, isp, pc, u, base, mark, SUSPENDED
         completed = True
         assert not heap
     except _OutOfFuel:
@@ -539,7 +582,7 @@ def tstp(system: EquationSystem, start, ops: LatticeOps, *,
     post-solution sigma0): sigma1 is a post-solution of f↓.  The paper's
     abstract gives no solver text; this clamp is a stated departure from it.
     """
-    return _demand(system, start, ops, WIDEN, var_budget, fuel)
+    return _demand(system, start, ops, _WIDEN, var_budget, fuel)
 
 
 def tsmp(system: EquationSystem, start, ops: LatticeOps, *,
@@ -555,7 +598,7 @@ def tsmp(system: EquationSystem, start, ops: LatticeOps, *,
     the reason given there (points narrow, other variables take the meet): a
     clamp that is a stated departure from the paper's solver text.
     """
-    return _demand(system, start, ops, WARROW, var_budget, fuel)
+    return _demand(system, start, ops, _WARROW, var_budget, fuel)
 
 
 def warrow_solve(system: EquationSystem, start, ops: LatticeOps, fuel: int, *,
@@ -567,4 +610,4 @@ def warrow_solve(system: EquationSystem, start, ops: LatticeOps, fuel: int, *,
     after the evaluation (WARROW_LATE, see the module docstring), so it can
     diverge.  Each evaluation burns one unit of fuel; running dry is a status.
     """
-    return _demand(system, start, ops, WARROW_LATE, var_budget, fuel)
+    return _demand(system, start, ops, _WARROW_LATE, var_budget, fuel)

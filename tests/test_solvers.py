@@ -610,6 +610,26 @@ var y3 = get y1
 var y4 = inc (inc (ite (leq (lit 1) (get y2)) (get y2) (get y1)))
 """
 
+# A replay ends in one of five ways, and REPLAY_EXITS holds a system for each,
+# in this order.  Every value read is as recorded: y1 reads itself twice.  The
+# first of two reads differs: y1's narrowing lowers y1, so its next replay
+# differs at once.  The last of two differs, the same way.  A read of y2, not
+# yet in sigma1, suspends y1's replay, which matches once y2 has entered.
+# The same suspension, but y2's phase-1 solve lowers y2 from 2 to 1, so the
+# resumed read differs, and y1, a point, must be narrowed with what the
+# program returns.
+
+REPLAY_EXITS = [
+    "lattice chain 3\nvar y1 = meet (get y1) (get y1)\n",
+    "lattice chain 3\n"
+    "var y1 = meet (join (lit 2) (get y1)) (ite (leq (get y1) (lit 1)) (lit 2) (lit 1))\n",
+    "lattice chain 4\nvar y1 = ite (eq (get y2) (get y1)) (lit 0) (lit 3)\n"
+    "var y2 = join (get y2) (lit 3)\n",
+    "lattice chain 3\nvar y1 = get y2\nvar y2 = lit 0\n",
+    "lattice chain 3\nvar y1 = join (get y2) (meet (get y1) (get y3))\n"
+    "var y2 = ite (leq (get y2) (get y3)) (lit 2) (lit 1)\nvar y3 = get y3\n",
+]
+
 FINITE_DESCRIPTORS = [Chain(3), Chain(5), Powerset(("a", "b")), Powerset(("a", "b", "c"))]
 
 
@@ -633,6 +653,11 @@ def tstp_inputs(draw):
 @given(tstp_inputs())
 @example(parse_finite_file(EX5_NATINF))
 @example(parse_finite_file(DOUBLE_FIRST_TOUCH))
+@example(parse_finite_file(REPLAY_EXITS[0]))
+@example(parse_finite_file(REPLAY_EXITS[1]))
+@example(parse_finite_file(REPLAY_EXITS[2]))
+@example(parse_finite_file(REPLAY_EXITS[3]))
+@example(parse_finite_file(REPLAY_EXITS[4]))
 def test_tstp_agrees_with_reference(case):
     if not isinstance(case, tuple):  # a parsed file
         case = case.system, case.var_order[0], case.ops
@@ -672,7 +697,7 @@ def _counting_names(system):
     return EquationSystem(rhs), Name, hashes
 
 
-@pytest.mark.parametrize("text", [EX1_CHAIN4, EX5_NATINF, DOUBLE_FIRST_TOUCH])
+@pytest.mark.parametrize("text", [EX1_CHAIN4, EX5_NATINF, DOUBLE_FIRST_TOUCH, *REPLAY_EXITS])
 def test_tstp_looks_each_variable_up_as_the_reference_does(text):
     prog = parse_finite_file(text)
     looked_up, evals = [], []
@@ -683,6 +708,25 @@ def test_tstp_looks_each_variable_up_as_the_reference_does(text):
         evals.append(result.stats.rhs_evals)
     assert looked_up[0] == looked_up[1]
     assert evals[0] < evals[1]
+
+
+# Both systems' replays stop at mismatches, where the program runs instead and
+# spends fuel like any evaluation: every fuel short of the unfueled run's
+# evaluations runs dry on exactly that fuel, and that many complete the run.
+
+@pytest.mark.parametrize("text", [EX5_NATINF, DOUBLE_FIRST_TOUCH])
+def test_tstp_runs_dry_at_every_fuel_below_its_evaluations(text):
+    prog = parse_finite_file(text)
+    start = prog.var_order[0]
+    unfueled = tstp(prog.system, start, prog.ops)
+    for fuel in range(1, unfueled.stats.rhs_evals):
+        short = tstp(prog.system, start, prog.ops, fuel=fuel)
+        assert short.status is SolveStatus.FUEL_EXHAUSTED
+        assert short.stats.fuel_used == fuel
+    exact = tstp(prog.system, start, prog.ops, fuel=unfueled.stats.rhs_evals)
+    assert exact.status is SolveStatus.COMPLETED
+    assert exact.assignment == unfueled.assignment
+    assert exact.sigma0 == unfueled.sigma0
 
 
 # The converse: a demand-driven solver fails to terminate only by meeting
