@@ -187,6 +187,46 @@ def test_interval_operator_contracts_hyp(a, b):
     assert IVL.leq(IVL.meet(a, b), n) and IVL.leq(n, a)
 
 
+# --- bounds equal the min/max formulas, value and type ----------------------------
+
+def _bounds_and_types(v):
+    return None if v is None else (v, type(v[0]), type(v[1]))
+
+
+_GRID_BOUNDS = (NEG_INF, -3, 0, 2, 5, INF)
+INTERVAL_GRID = [None] + [
+    (lo, hi) for lo in _GRID_BOUNDS for hi in _GRID_BOUNDS
+    if lo <= hi and lo != INF and hi != NEG_INF
+]
+
+
+def test_interval_join_meet_equal_the_min_max_formulas():
+    for a in INTERVAL_GRID:
+        for b in INTERVAL_GRID:
+            if a is None or b is None:
+                want_join = b if a is None else a
+                want_meet = None
+            else:
+                want_join = (min(a[0], b[0]), max(a[1], b[1]))
+                lo, hi = max(a[0], b[0]), min(a[1], b[1])
+                want_meet = (lo, hi) if lo <= hi else None
+            assert _bounds_and_types(IVL.join(a, b)) == _bounds_and_types(want_join), (a, b)
+            assert _bounds_and_types(IVL.meet(a, b)) == _bounds_and_types(want_meet), (a, b)
+
+
+@pytest.mark.parametrize("ops", [NAT, make_domain(Chain(6))], ids=lambda o: o.name)
+def test_add_const_equals_the_min_max_formula(ops):
+    values = [*range(8), INF] if ops is NAT else ops.values()
+    for a in values:
+        for k in range(-7, 8):
+            if ops is NAT:
+                want = a if a == INF else max(a + k, 0)
+            else:
+                want = min(max(a + k, 0), ops.top)
+            got = ops.add_const(a, k)
+            assert (got, type(got)) == (want, type(want)), (a, k)
+
+
 # --- operator contracts over bulk random samples --------------------------------
 
 @pytest.mark.parametrize("ops", ALL_DOMAINS, ids=lambda o: o.name)
