@@ -156,11 +156,7 @@ class _ChainOps(LatticeOps):
         return a - 1 if a > 0 else 0
 
     def add_const(self, a, k):
-        a += k
-        if a < 0:
-            return 0
-        top = self.top
-        return a if a <= top else top
+        return min(max(a + k, 0), self.top)
 
     def values(self):
         return list(range(self.size))
@@ -340,9 +336,7 @@ class _IntervalOps(LatticeOps):
     # Bounds are picked by conditionals, not builtin min/max: on Python 3.11
     # max(a, b) costs 96 ns against 31 ns for a conditional, and these run on
     # every scheme evaluation.  A tie keeps the first operand's bound, as
-    # min/max would.  join returns an operand itself when it is above the
-    # other, and meet when it is below, which saves the tuple; values are
-    # immutable and compared by ==, so sharing one is safe.
+    # min/max would, so every bound keeps its value and its type.
     def join(self, a, b):
         if a is None:
             return b
@@ -350,23 +344,15 @@ class _IntervalOps(LatticeOps):
             return a
         a0, a1 = a
         b0, b1 = b
-        if a0 <= b0:
-            return a if a1 >= b1 else (a0, b1)
-        return b if b1 >= a1 else (b0, a1)
+        return (a0 if a0 <= b0 else b0, a1 if a1 >= b1 else b1)
 
     def meet(self, a, b):
         if a is None or b is None:
             return None
         a0, a1 = a
         b0, b1 = b
-        if a0 >= b0:
-            if a1 <= b1:
-                return a
-            lo, hi = a0, b1
-        else:
-            if b1 <= a1:
-                return b
-            lo, hi = b0, a1
+        lo = a0 if a0 >= b0 else b0
+        hi = a1 if a1 <= b1 else b1
         return (lo, hi) if lo <= hi else None
 
     def widen(self, a, b):
