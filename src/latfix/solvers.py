@@ -59,11 +59,12 @@ own, which per read does what a program's look-up does (slot, by one hash of
 the recorded variable; sigma1 value; point mark; influence entry) and then
 compares the value with the recorded one.  A variable not yet in sigma1
 suspends the replay as it would a program, as the frame (reader, point flag,
-record, position, pending slot, REPLAYING).  If every value is as
-recorded, the recorded result is reused, which is no evaluation.  At the
-first that is not, the record is dropped and the program runs instead,
-counted as an evaluation (after the fuel check) and fed the values read so
-far, so no look-up happens twice.
+record, position, REPLAYING); the resumed replay looks that read up afresh.
+If every value is as recorded, the recorded result is reused, which is no
+evaluation.  At the first that is not, the record is dropped and the program
+runs from its start, through the same fuel check and count as a fresh
+evaluation, fed the values read so far: a value read before the replay was
+suspended may have changed since, and the program must see the one read.
 """
 
 from __future__ import annotations
@@ -327,39 +328,21 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                         nxt, nmode = w, fmode
                 else:
                     del frames[-3:]
-            rec = None
+            rec = pc = None
             if nxt is not None:  # evaluate nxt in nmode
                 r, mode, nxt = nxt, nmode, None
                 if mode != WARROW_LATE:
                     isp = point[r]
                     point[r] = 0
                 sig = sigma0 if mode == WIDEN else sigma1
-                if mode == NARROW and (rec := recorded.get(r)) is not None:
-                    i, n = 0, len(rec) - 1
-                    if n:
-                        u = slot_get(rec[0])
-                else:
-                    if evals == fuel:
-                        raise _OutOfFuel
-                    evals += 1
-                    code = codes[r]
-                    if code is None:  # keep no Program: one fewer object per variable
-                        tree = system_rhs(variables[r])
-                        if tree.__class__ is Program:
-                            code, ctxs[r] = tree.code, tree.ctx
-                        else:
-                            code, ctxs[r] = _TREE_CODE, tree
-                        codes[r] = code
-                    ctx = ctxs[r]
-                    end = len(code)
-                    base, mark = len(stack), len(reads)
-                    pc, top = 0, None
+                if mode == NARROW:
+                    rec, i = recorded.get(r), 0
             elif not frames:
                 break
-            elif frames[-1] == REPLAYING:  # the replay loop completes its look-up of u
-                r, isp, rec, i, u, _ = frames[-6:]
-                del frames[-6:]
-                mode, sig, n = NARROW, sigma1, len(rec) - 1
+            elif frames[-1] == REPLAYING:  # resume the replay at the read it stopped at
+                r, isp, rec, i, _ = frames[-5:]
+                del frames[-5:]
+                mode, sig = NARROW, sigma1
             else:  # resume the program on top: complete its look-up of u
                 r, mode, isp, pc, u, base, mark, _ = frames[-8:]
                 del frames[-8:]
@@ -378,7 +361,9 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                     s.add(r)
                 top, u = v, None
             if rec is not None:  # replay r's record: each read's look-up, then its check
-                while i < n:  # u is the slot of rec[i]
+                n = len(rec) - 1
+                while i < n:
+                    u = slot_get(rec[i])
                     v = sig[u]
                     if v is UNSET:
                         break
@@ -392,26 +377,33 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                     if v != rec[i + 1]:
                         break
                     i += 2
-                    if i < n:
-                        u = slot_get(rec[i])
                 if i == n:  # every value as recorded: an empty program returns the result
                     top, pc, end, base = rec[n], 0, 0, len(stack)
                 elif v is UNSET:  # solve u, then resume the replay
-                    frames += r, isp, rec, i, u, REPLAYING
+                    frames += r, isp, rec, i, REPLAYING
                     continue
                 else:  # run r's program instead, fed the values read so far
                     del recorded[r]
-                    if evals == fuel:
-                        raise _OutOfFuel
-                    evals += 1
                     fed = rec[1:i:2]
                     fed.append(v)
                     fed.reverse()
                     slot_get = _unhashed
-                    code, ctx = codes[r], ctxs[r]
-                    end = len(code)
-                    base = len(stack)
-                    pc, top = 0, None
+            if pc is None:  # a fresh evaluation or a fed rerun: run r's program
+                if evals == fuel:
+                    raise _OutOfFuel
+                evals += 1
+                code = codes[r]
+                if code is None:  # keep no Program: one fewer object per variable
+                    tree = system_rhs(variables[r])
+                    if tree.__class__ is Program:
+                        code, ctxs[r] = tree.code, tree.ctx
+                    else:
+                        code, ctxs[r] = _TREE_CODE, tree
+                    codes[r] = code
+                ctx = ctxs[r]
+                end = len(code)
+                base, mark = len(stack), len(reads)
+                pc, top = 0, None
             recording = mode == WIDEN
             while pc < end:
                 op = code[pc]

@@ -1,6 +1,8 @@
 """Shared systems, trees, reference compilers and reference solvers for the tests."""
 
 import contextlib
+import functools
+import io
 import random
 import sys
 from collections import Counter
@@ -20,6 +22,7 @@ from latfix import (
     eval_tree,
     gen_random_system,
 )
+from latfix.cli import main
 from latfix.eqsys import OP_CALL, Program, as_lookup
 from latfix.interproc import _cell_edges
 from latfix.solvers import DEFAULT_VAR_BUDGET
@@ -120,6 +123,19 @@ def default_recursion_limit():
         yield
     finally:
         sys.setrecursionlimit(saved)
+
+
+@functools.cache
+def cli_run(*argv):
+    """`latfix.cli.main`'s exit code, stdout and stderr on `argv`, run once per argv.
+
+    The runaway sample runs to the default variable budget, which takes
+    seconds; the tests that read its output share one run.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(list(argv), out=out)
+    return code, out.getvalue(), err.getvalue()
 
 
 def branching_tree():

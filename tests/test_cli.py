@@ -32,6 +32,7 @@ from fixtures import (
     SCHEME_CTX_SELF,
     SCHEME_NESTED_NATINF,
     SCHEME_RECURSIVE,
+    cli_run,
     default_recursion_limit,
     ring_text,
 )
@@ -291,15 +292,16 @@ def test_solve_var_budget_exit(tmp_path):
 
 
 @pytest.mark.parametrize("solver", ["tstp", "tsmp"])
-def test_solve_runaway_scheme_exits_at_the_default_var_budget(tmp_path, capsys, solver):
+def test_solve_runaway_scheme_exits_at_the_default_var_budget(solver):
     # Each fresh context suspends one more evaluation on the solver's frame
     # stack, not on Python's, so the run goes on until the default budget
-    # of 10**6 variables is spent.
-    path = write(tmp_path, "rec.sch", SCHEME_RECURSIVE)
-    code, out = run_cli("solve", solver, path)
+    # of 10**6 variables is spent.  The golden CLI rendering makes the same
+    # run of the same sample (SCHEME_RECURSIVE), which `cli_run` makes once.
+    path = str(SAMPLES / "recursive.sch")
+    code, out, err = cli_run("solve", solver, path, "--json")
     assert code == EXIT_BUDGET
     assert out == ""
-    assert capsys.readouterr().err == "error: variable budget of 1000000 exceeded\n"
+    assert err == "error: variable budget of 1000000 exceeded\n"
 
 
 def test_tsrr_solves_rings_deeper_than_the_recursion_limit(tmp_path):

@@ -24,7 +24,6 @@ current digests and each solver's count totals, for re-pinning.
 
 import dataclasses
 import hashlib
-import io
 import random
 import re
 from pathlib import Path
@@ -35,7 +34,7 @@ from latfix import (Chain, Powerset, VarBudgetExceeded, check_stratified,
                     warrow_solve)
 from latfix.cli import FiniteProgram, format_finite_file
 
-from fixtures import capped, random_corpus
+from fixtures import capped, cli_run, random_corpus
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -78,9 +77,8 @@ def cli_rendering():
     lines = []
     for path in sorted(SAMPLES.iterdir()):
         for solver in latfix.cli.SOLVERS:
-            out = io.StringIO()
-            code = latfix.cli.main(["solve", solver, str(path), "--json"], out=out)
-            lines.append(f"{path.name}|{solver}|{code}|{out.getvalue()!r}")
+            code, out, _ = cli_run("solve", solver, str(path), "--json")
+            lines.append(f"{path.name}|{solver}|{code}|{out!r}")
     return "\n".join(lines)
 
 

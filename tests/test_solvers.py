@@ -630,6 +630,23 @@ REPLAY_EXITS = [
     "var y2 = ite (leq (get y2) (get y3)) (lit 2) (lit 1)\nvar y3 = get y3\n",
 ]
 
+# Why a replay that stops at a mismatch feeds the program the values it read,
+# rather than rerunning it on the current ones: a value read before the replay
+# suspends can change while it is suspended.  y1's replay reads y2 (8, as
+# recorded) and suspends on y4.  Entering y4 re-evaluates y2, which read y4 in
+# phase 0 and has no point mark left, so y2 takes the meet and drops to 1.
+# y4 then differs from its record.  Fed y2 = 8, y1's program returns y4 = 4,
+# as the reference's does; a rerun would read y2 = 1, return 9 and leave y1
+# at 9, not 4.
+
+REPLAY_READ_CHANGES = """\
+lattice natinf
+var y1 = ite (leq (get y2) (lit 2)) (lit 9) (get y4)
+var y2 = ite (leq (get y3) (lit 5)) (lit 1) (meet (get y4) (lit 8))
+var y3 = meet (inc (get y3)) (join (lit 3) (meet (get y2) (lit 0)))
+var y4 = meet (inc (get y4)) (lit 4)
+"""
+
 FINITE_DESCRIPTORS = [Chain(3), Chain(5), Powerset(("a", "b")), Powerset(("a", "b", "c"))]
 
 
@@ -658,6 +675,7 @@ def tstp_inputs(draw):
 @example(parse_finite_file(REPLAY_EXITS[2]))
 @example(parse_finite_file(REPLAY_EXITS[3]))
 @example(parse_finite_file(REPLAY_EXITS[4]))
+@example(parse_finite_file(REPLAY_READ_CHANGES))
 def test_tstp_agrees_with_reference(case):
     if not isinstance(case, tuple):  # a parsed file
         case = case.system, case.var_order[0], case.ops
@@ -672,11 +690,14 @@ def test_tstp_agrees_with_reference(case):
     assert result.stats.rhs_evals <= reference.stats.rhs_evals
 
 
-# A replay that stops at a mismatch feeds the program the values already
-# read, so no look-up, nor its side effects, happens twice: tstp makes the
-# reference's look-ups, replayed ones included.  Look-ups are counted by
-# variable names that count their hashes; either solver hashes a variable
-# once per look-up, once on discovery and once per assignment it returns.
+# A replay that stops at a mismatch feeds the program the values already read,
+# so that look-up happens once; but a replay resumed after a suspension looks
+# up the read it stopped at again, as its frame keeps no slot.  So tstp looks
+# up the reference's variables, each at least as often, and exactly as often
+# where every replay matches and none suspends (REPLAY_EXITS[0]).
+# Look-ups are counted by variable names that count their hashes; either
+# solver hashes a variable once per look-up, once on discovery and once per
+# assignment it returns.
 
 def _counting_names(system):
     """`system` over equal names that count their hashes, the name type and the counts."""
@@ -706,7 +727,10 @@ def test_tstp_looks_each_variable_up_as_the_reference_does(text):
         result = solver(system, name(prog.var_order[0]), prog.ops)
         looked_up.append(hashes)
         evals.append(result.stats.rhs_evals)
-    assert looked_up[0] == looked_up[1]
+    assert looked_up[0].keys() == looked_up[1].keys()
+    assert looked_up[0] >= looked_up[1]
+    if text == REPLAY_EXITS[0]:
+        assert looked_up[0] == looked_up[1]
     assert evals[0] < evals[1]
 
 
