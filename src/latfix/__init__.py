@@ -35,7 +35,6 @@ from .solvers import (
     warrow_solve,
 )
 from .interproc import (
-    BuiltinFn,
     CounterexampleCycle,
     Scheme,
     SchemeError,

@@ -208,8 +208,7 @@ def _parse_form(r):
                     r.builtins[name] = resolve_builtin(name, r.ops)
                 except (SchemeError, LatticeError) as exc:
                     raise ParseError(str(exc), r.lineno) from None
-            arity = r.builtins[name].arity
-            return ("apply", name, *[_parse_arg(r) for _ in range(arity)])
+            return ("apply", name, _parse_arg(r))
         op = name    # `apply join` is the join form
     if op == "join" or op == "meet":
         return (op, _parse_arg(r), _parse_arg(r))

@@ -21,22 +21,24 @@ Instructions (operands in brackets; "pop b, a" pops the top first):
   GET [var]          push lookup(var)
   LIT [value]        push value
   JOIN, MEET         pop b, a; push ops.join(a, b) or ops.meet(a, b)
-  INC                replace the top v by ops.succ(v)
   EQ, LEQ [target]   pop b, a; jump to target unless ops.eq(a, b) or
                      ops.leq(a, b) holds
   JMP [target]       jump to target
   CELL [point]       replace the top d by lookup((point, d))
   CTX                push the context the program is bound to
-  CALL [fn, n]       pop n arguments; push fn(*arguments)
+  CALL [fn]          replace the top v by fn(v)
 
-The last three occur only in schemes, where they are most of the code, so
-their opcodes are the highest and `eval_tree` tells them from the rest with
-one comparison, right after the four instructions both languages use most.
+CELL and CTX occur only in schemes, and CALL applies a scheme's builtins as
+well as the finite language's `inc` (fn is ops.succ).  In schemes these three
+are most of the code, so their opcodes are the highest and `eval_tree` tells
+them from the rest with one comparison, right after the four instructions
+both languages use most.
 
-The lattice operations are looked up on the program's ops object when an
-instruction runs, never stored in the code.  `eval_tree` serves `tsrr` and
-the checks; the demand-driven solvers' core runs the same instructions in its
-own loop, in the same operand and query order, with the solver's operations.
+A CALL's function is stored in the code; the other lattice operations are
+looked up on the program's ops object when an instruction runs.  `eval_tree`
+serves `tsrr` and the checks; the demand-driven solvers' core runs the same
+instructions in its own loop, in the same operand and query order, with the
+solver's operations.
 """
 
 from __future__ import annotations
@@ -49,8 +51,7 @@ from .lattice import LatticeOps, Value
 VarId = Hashable
 Lookup = Callable[[VarId], Value]
 
-OP_GET, OP_LIT, OP_JOIN, OP_MEET, OP_INC, OP_EQ, OP_LEQ, OP_JMP, OP_CELL, OP_CTX, \
-    OP_CALL = range(11)
+OP_GET, OP_LIT, OP_JOIN, OP_MEET, OP_EQ, OP_LEQ, OP_JMP, OP_CELL, OP_CTX, OP_CALL = range(10)
 
 
 class UnknownVariableError(KeyError):
@@ -139,15 +140,8 @@ def eval_tree(tree: Tree, lookup) -> Value:
             pc += 1
         elif op >= OP_CELL:
             if op == OP_CALL:
-                arity = code[pc + 2]
-                if arity == 1:
-                    top = code[pc + 1](top)
-                else:
-                    push(top)
-                    args = stack[len(stack) - arity:]
-                    del stack[len(stack) - arity:]
-                    top = code[pc + 1](*args)
-                pc += 3
+                top = code[pc + 1](top)
+                pc += 2
             elif op == OP_CTX:
                 push(top)
                 top = tree.ctx
@@ -165,11 +159,8 @@ def eval_tree(tree: Tree, lookup) -> Value:
             a = pop()
             top = pop()
             pc = pc + 2 if ops.leq(a, b) else code[pc + 1]
-        elif op == OP_JMP:
+        else:  # OP_JMP
             pc = code[pc + 1]
-        else:
-            top = ops.succ(top)
-            pc += 1
     return top
 
 
@@ -282,13 +273,14 @@ def is_closed(assignment: Assignment, system: EquationSystem) -> bool:
 #   ("lit", value) ("join", e, e) ("meet", e, e)        in both languages
 #   ("get", var) ("inc", e) ("ite", (cmp, e, e), e, e)  in finite systems,
 #                                      with cmp in {"eq", "leq"}
-#   ("ctx",) ("cell", point, e) ("apply", builtin_name, e, ...)  in schemes
+#   ("ctx",) ("cell", point, e) ("apply", builtin_name, e)  in schemes
+# A finite `inc` and a scheme's `apply` both compile to one CALL.
 
 def compile_rhs_dsl(expr: tuple, ops: LatticeOps,
                     builtins: Mapping | None = None) -> Program | Answer:
     """Compile an expression into a program, or an answer if it reads nothing.
 
-    `builtins` maps the names `apply` nodes use to their `BuiltinFn`s.  Every
+    `builtins` maps the names `apply` nodes use to unary functions.  Every
     `get` or `cell` becomes exactly one query; operands are computed left to
     right, a cell computes its argument before it queries, and `ite` computes
     both comparison operands, then runs the selected branch only.  Operations
@@ -319,12 +311,6 @@ def _emit(e: tuple, code: list, ops: LatticeOps, builtins) -> bool:
             return True
         code.append(OP_JOIN if tag == "join" else OP_MEET)
         return False
-    if tag == "inc":
-        if _emit(e[1], code, ops, builtins):
-            code[-1] = ops.succ(code[-1])
-            return True
-        code.append(OP_INC)
-        return False
     if tag == "ite":
         cmp_op, lhs, rhs = e[1]
         literal = _emit(lhs, code, ops, builtins)
@@ -349,15 +335,14 @@ def _emit(e: tuple, code: list, ops: LatticeOps, builtins) -> bool:
         _emit(e[2], code, ops, builtins)
         code += (OP_CELL, e[1])
         return False
-    if tag != "apply":
+    if tag == "inc":
+        fn = ops.succ
+    elif tag == "apply":
+        fn = builtins[e[1]]
+    else:
         raise ValueError(f"bad expression tag {tag!r}")
-    fn, args = builtins[e[1]].fn, e[2:]     # applied here if every operand is a literal
-    literal = True
-    for a in args:     # a comprehension here would make every local a cell
-        literal = _emit(a, code, ops, builtins) and literal
-    if literal:
-        start = len(code) - 2 * len(args)
-        code[start:] = (OP_LIT, fn(*code[start + 1::2]))
+    if _emit(e[-1], code, ops, builtins):  # a literal operand: apply fn here
+        code[-1] = fn(code[-1])
         return True
-    code += (OP_CALL, fn, len(args))
+    code += (OP_CALL, fn)
     return False

@@ -2,8 +2,9 @@
 
 A scheme gives every program point one context-parameterized right-hand-side
 expression, in the tag-tuple IR of `latfix.eqsys`: `("lit", v)`, `("ctx",)`,
-`("join", a, b)`, `("meet", a, b)`, `("apply", builtin, *args)` and
-`("cell", point, a)`.  Cells induce indirect addressing: the value of the
+`("join", a, b)`, `("meet", a, b)`, `("apply", builtin, a)` and
+`("cell", point, a)`, where a builtin names a unary function of the lattice
+(`resolve_builtin`).  Cells induce indirect addressing: the value of the
 inner expression selects which (point, context) variable is read, so a
 scheme denotes a family of equations over the possibly infinite variable
 space (point, context-value).  Instantiation is lazy; the solvers
@@ -35,44 +36,37 @@ class SchemeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BuiltinFn:
-    name: str
-    arity: int
-    fn: Callable
+def resolve_builtin(name: str, ops: LatticeOps) -> Callable:
+    """The unary function `name` denotes on `ops`, made on the fly for `name:param`.
 
-
-def resolve_builtin(name: str, ops: LatticeOps) -> BuiltinFn:
-    """Look up a builtin, materializing `name:param` instances on the fly."""
+    Join and meet are expression forms, not builtins, but `join:3` is still
+    told that join takes no parameter.
+    """
     base, sep, param = name.partition(":")
     if sep and base in ("join", "meet", "id", "inc", "dec"):
         raise SchemeError(f"builtin {base!r} takes no parameter, got {name!r}")
     if not param and base in ("add_const", "meet_const", "join_const"):
         raise SchemeError(f"builtin {base!r} needs a parameter, got none")
-    if base == "join":
-        return BuiltinFn(name, 2, ops.join)
-    if base == "meet":
-        return BuiltinFn(name, 2, ops.meet)
     if base == "id":
-        return BuiltinFn(name, 1, lambda v: v)
+        return lambda v: v
     if base in ("inc", "dec", "add_const") and not ops.has_arith:
         raise SchemeError(f"{base!r} is not defined on {ops.name}")
     if base == "inc":
-        return BuiltinFn(name, 1, ops.succ)
+        return ops.succ
     if base == "dec":
-        return BuiltinFn(name, 1, ops.pred)
+        return ops.pred
     if base == "add_const":
         try:
             k = int(param)
         except ValueError:
             raise SchemeError(f"add_const needs an integer parameter, got {param!r}") from None
-        return BuiltinFn(name, 1, lambda v: ops.add_const(v, k))
+        return lambda v: ops.add_const(v, k)
     if base == "meet_const":
         c = ops.parse(param)
-        return BuiltinFn(name, 1, lambda v: ops.meet(v, c))
+        return lambda v: ops.meet(v, c)
     if base == "join_const":
         c = ops.parse(param)
-        return BuiltinFn(name, 1, lambda v: ops.join(v, c))
+        return lambda v: ops.join(v, c)
     raise SchemeError(f"unknown builtin {name!r}")
 
 
@@ -81,7 +75,7 @@ class Scheme:
     ops: LatticeOps
     points: tuple
     rhs: dict          # point -> expression
-    builtins: dict     # name -> BuiltinFn, for the `apply` nodes
+    builtins: dict     # name -> unary function, for the `apply` nodes
     start: tuple
 
     def validate(self):
@@ -101,22 +95,21 @@ class Scheme:
     def _validate_expr(self, expr, points):
         tag = expr[0]
         if tag == "apply":
-            fn = self.builtins.get(expr[1])
-            if fn is None:
+            if expr[1] not in self.builtins:
                 raise SchemeError(f"unknown builtin {expr[1]!r}")
-            tag, args, arity = expr[1], expr[2:], fn.arity
+            tag, args, count = expr[1], expr[2:], 1
         elif tag == "join" or tag == "meet":
-            args, arity = expr[1:], 2
+            args, count = expr[1:], 2
         elif tag == "cell" and len(expr) == 3:
             if expr[1] not in points:
                 raise SchemeError(f"unknown point {expr[1]!r}")
-            args, arity = expr[2:], 1
+            args, count = expr[2:], 1
         elif (tag == "lit" and len(expr) == 2) or expr == ("ctx",):
             return
         else:
             raise SchemeError(f"bad expression node {expr!r}")
-        if arity != len(args):
-            raise SchemeError(f"builtin {tag!r} takes {arity} arguments, got {len(args)}")
+        if count != len(args):
+            raise SchemeError(f"builtin {tag!r} takes {count} arguments, got {len(args)}")
         for a in args:
             self._validate_expr(a, points)
 

@@ -74,8 +74,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .eqsys import (OP_CALL, OP_CELL, OP_CTX, OP_EQ, OP_GET, OP_INC, OP_JMP, OP_JOIN,
-                    OP_LEQ, OP_LIT, OP_MEET, Assignment, EquationSystem, Program, Query,
+from .eqsys import (OP_CALL, OP_CELL, OP_CTX, OP_EQ, OP_GET, OP_JMP, OP_JOIN, OP_LEQ,
+                    OP_LIT, OP_MEET, Assignment, EquationSystem, Program, Query,
                     UnknownVariableError, eval_tree)
 from .lattice import LatticeOps
 
@@ -248,16 +248,16 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
     the module docstring.  `first` is the mode of a first touch's evaluation."""
     WIDEN, NARROW, WARROW, WARROW_LATE, ENTER, SUSPENDED, REPLAYING, UNSET = (
         _WIDEN, _NARROW, _WARROW, _WARROW_LATE, _ENTER, _SUSPENDED, _REPLAYING, _UNSET)
-    GET, LIT, JOIN, MEET, INC, EQ, LEQ, JMP, CELL, CTX, CALL, TREE = (
-        OP_GET, OP_LIT, OP_JOIN, OP_MEET, OP_INC, OP_EQ, OP_LEQ, OP_JMP, OP_CELL, OP_CTX,
-        OP_CALL, _TREE)
+    GET, LIT, JOIN, MEET, EQ, LEQ, JMP, CELL, CTX, CALL, TREE = (
+        OP_GET, OP_LIT, OP_JOIN, OP_MEET, OP_EQ, OP_LEQ, OP_JMP, OP_CELL, OP_CTX, OP_CALL,
+        _TREE)
     if fuel is not None and fuel < 1:
         raise ValueError("fuel must be >= 1")
     if var_budget < 1:
         raise VarBudgetExceeded(var_budget)
     two_phase = first == WIDEN
     flips = first == WARROW
-    join, meet, succ, eq, leq = ops.join, ops.meet, ops.succ, ops.eq, ops.leq
+    join, meet, eq, leq = ops.join, ops.meet, ops.eq, ops.leq
     widen, narrow, bot = ops.widen, ops.narrow, ops.bot
     system_rhs = system.rhs
     slot = {start: 0}           # variable -> slot
@@ -426,15 +426,8 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                     continue
                 elif op >= CELL:
                     if op == CALL:
-                        arity = code[pc + 2]
-                        if arity == 1:
-                            top = code[pc + 1](top)
-                        else:
-                            push(top)
-                            args = stack[len(stack) - arity:]
-                            del stack[len(stack) - arity:]
-                            top = code[pc + 1](*args)
-                        pc += 3
+                        top = code[pc + 1](top)
+                        pc += 2
                         continue
                     if op == CTX:
                         push(top)
@@ -457,10 +450,6 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                     continue
                 elif op == JMP:
                     pc = code[pc + 1]
-                    continue
-                elif op == INC:
-                    top = succ(top)
-                    pc += 1
                     continue
                 elif op == TREE:  # top is a tree node
                     if not isinstance(top, Query):

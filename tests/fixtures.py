@@ -219,7 +219,7 @@ def capped(system):
     def rhs(var):
         tree = system.rhs(var)
         if tree.__class__ is Program:
-            tree = Program(tree.code + (OP_CALL, tick, 1), tree.ops, tree.ctx)
+            tree = Program(tree.code + (OP_CALL, tick), tree.ops, tree.ctx)
         return tree
 
     return EquationSystem(rhs, all_vars=system.all_vars)
@@ -296,14 +296,8 @@ def reference_compile_dsl(expr, ops, builtins=None, ctx=None):
         if tag == "cell":
             return build(e[2], lambda d: Query((e[1], d), k))
         if tag == "apply":
-            fn, args = builtins[e[1]], e[2:]
-
-            def collect(i, vals):
-                if i == len(args):
-                    return k(fn.fn(*vals))
-                return build(args[i], lambda v: collect(i + 1, vals + [v]))
-
-            return collect(0, [])
+            fn = builtins[e[1]]
+            return build(e[2], lambda v: k(fn(v)))
         raise ValueError(f"bad expression tag {tag!r}")
 
     return build(expr, Answer)
@@ -329,7 +323,7 @@ def sem_expr(expr, ctx, lookup, scheme):
                 fn = scheme.builtins[e[1]]
             except KeyError:
                 raise SchemeError(f"unknown builtin {e[1]!r}") from None
-            return fn.fn(*[ev(a) for a in e[2:]])
+            return fn(ev(e[2]))
         # cell: the inner expression's value picks the variable to read.
         return lookup((e[1], ev(e[2])))
 

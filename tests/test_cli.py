@@ -113,6 +113,16 @@ def test_builtin_parameters_are_checked(tmp_path, capsys, body, message):
     assert capsys.readouterr().err == f"error: line 3: {message}\n"
 
 
+# A builtin takes one operand; the parser reads one, so a second is left over.
+@pytest.mark.parametrize("body, message", [
+    ("apply inc (lit 1) (lit 2)", "trailing tokens after expression: '('"),
+    ("join (apply inc (lit 1) (lit 2)) ctx", "expected ')', found '('"),
+])
+def test_apply_takes_one_operand(body, message):
+    with pytest.raises(ParseError, match=re.escape(f"line 3: {message}") + "$"):
+        parse_scheme_file(f"scheme natinf\nstart u 0\npoint u = {body}\n")
+
+
 @pytest.mark.parametrize("body, message", [
     ("get u", "unknown operator 'get'"),
     ("inc ctx", "unknown operator 'inc'"),

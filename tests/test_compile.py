@@ -11,7 +11,6 @@ import pytest
 import latfix.cli
 from latfix import (
     Answer,
-    BuiltinFn,
     EquationSystem,
     Program,
     Scheme,
@@ -183,21 +182,6 @@ def test_random_expressions_survive_format_then_parse():
             scheme = Scheme(ops, points, rhs, builtins, ("v", ops.top)).validate()
             again = parse_scheme_file(format_scheme_file(scheme))
             assert (again.rhs, again.points, again.start) == (rhs, points, scheme.start)
-
-
-def test_builtins_of_any_arity_take_arguments_in_order():
-    nat = DOMAINS[2]
-    builtins = {"seven": BuiltinFn("seven", 0, lambda: 7),
-                "digits": BuiltinFn("digits", 3, lambda a, b, c: 100 * a + 10 * b + c)}
-    expr = ("join", ("cell", "u", ("apply", "seven")),
-            ("apply", "digits", ("ctx",), ("cell", "u", ("ctx",)), ("lit", 3)))
-    scheme = Scheme(nat, ("u",), {"u": expr}, builtins, ("u", 0)).validate()
-    lookup = {("u", 7): 1, ("u", 2): 5}
-    compiled = instantiate_system(scheme).rhs(("u", 2))
-    reference = reference_compile_dsl(expr, nat, builtins, 2)
-    assert agree(compiled, reference, lookup) == [
-        ("u", 7), ("u", 2)]
-    assert eval_tree(compiled, lookup) == 253
 
 
 def test_lookups_are_called_from_eval_tree_itself():

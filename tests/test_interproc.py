@@ -61,7 +61,8 @@ def test_sem_expr_unknown_builtin(nested):
 @pytest.mark.parametrize("expr", [("join", ("ctx",)), ("apply", "inc"),
                                   ("cell", "w", ("ctx",)), ("get", "u"),
                                   ("cell", "u"), ("cell", "u", ("ctx",), ("ctx",)),
-                                  ("lit",), ("lit", 1, 2), ("ctx", ("ctx",))])
+                                  ("lit",), ("lit", 1, 2), ("ctx", ("ctx",)),
+                                  ("apply", "inc", ("ctx",), ("ctx",))])
 def test_validate_rejects_malformed_expressions(expr):
     inc = {"inc": resolve_builtin("inc", NAT)}
     with pytest.raises(SchemeError):

@@ -637,7 +637,7 @@ REPLAY_EXITS = [
 # phase 0 and has no point mark left, so y2 takes the meet and drops to 1.
 # y4 then differs from its record.  Fed y2 = 8, y1's program returns y4 = 4,
 # as the reference's does; a rerun would read y2 = 1, return 9 and leave y1
-# at 9, not 4.
+# at 9, not 4.  `tstp_inputs` draws variants of this shape as well.
 
 REPLAY_READ_CHANGES = """\
 lattice natinf
@@ -651,16 +651,50 @@ FINITE_DESCRIPTORS = [Chain(3), Chain(5), Powerset(("a", "b")), Powerset(("a", "
 
 
 @st.composite
+def replay_read_changes_files(draw):
+    """Natinf variants of REPLAY_READ_CHANGES' shape: y1 branches on a variable B
+    and otherwise reads K; B falls once the counter C settles and reads K; C and
+    K are clamped counters.  The constants are drawn, so are the names B, C, K
+    take among y2-y4, their declaration order and the order of C's two reads,
+    and 0-2 extra join/meet variables, each read by one drawn variable through
+    `meet (get x) (lit 0)`, a read that adds nothing to a natinf join.
+    """
+    a, b, c, d, e, f, g = (draw(st.integers(lo, hi)) for lo, hi in
+                           ((0, 4), (5, 12), (2, 8), (0, 3), (5, 12), (1, 5), (2, 7)))
+    names = draw(st.permutations(["y2", "y3", "y4"]))
+    B, C, K = names
+    counter = [f"(inc (get {C}))", f"(join (lit {f}) (meet (get {B}) (lit 0)))"]
+    if draw(st.booleans()):
+        counter.reverse()
+    rhs = {"y1": f"ite (leq (get {B}) (lit {a})) (lit {b}) (get {K})",
+           B: f"ite (leq (get {C}) (lit {c})) (lit {d}) (meet (get {K}) (lit {e}))",
+           C: "meet {} {}".format(*counter),
+           K: f"meet (inc (get {K})) (lit {g})"}
+    order = ["y1", *draw(st.permutations(names))]
+    for x in ("y5", "y6")[:draw(st.integers(0, 2))]:
+        rhs[x] = "{} (get {}) (get {})".format(draw(st.sampled_from(["join", "meet"])),
+                                               draw(st.sampled_from(order)),
+                                               draw(st.sampled_from(order)))
+        v = draw(st.sampled_from(order))
+        read = f"(meet (get {x}) (lit 0))"
+        rhs[v] = f"join ({rhs[v]}) {read}" if draw(st.booleans()) else f"join {read} ({rhs[v]})"
+        order.append(x)
+    return "lattice natinf\n" + "".join(f"var {v} = {rhs[v]}\n" for v in order)
+
+
+@st.composite
 def tstp_inputs(draw):
-    """(system, start, ops) of a random finite, natinf/interval or stratified scheme input."""
-    kind = draw(st.sampled_from(["finite", "infinite", "scheme"]))
+    """(system, start, ops) of a random finite, natinf/interval, replay-shaped natinf
+    or stratified scheme input."""
+    kind = draw(st.sampled_from(["finite", "infinite", "replay", "scheme"]))
     if kind == "finite":
         gen = gen_random_system(draw(st.integers(0, 2**31 - 1)), draw(st.integers(1, 30)),
                                 draw(st.sampled_from(FINITE_DESCRIPTORS)),
                                 draw(st.integers(1, 3)), False)
         return gen.system, gen.variables[0], gen.ops
-    if kind == "infinite":
-        prog = parse_finite_file(draw(infinite_lattice_files()))
+    if kind != "scheme":
+        files = infinite_lattice_files() if kind == "infinite" else replay_read_changes_files()
+        prog = parse_finite_file(draw(files))
         return prog.system, prog.var_order[0], prog.ops
     scheme = parse_scheme_file(draw(stratified_scheme_files()))
     return instantiate_system(scheme), scheme.start, scheme.ops
