@@ -97,9 +97,9 @@ class Scheme:
         if tag == "apply":
             if expr[1] not in self.builtins:
                 raise SchemeError(f"unknown builtin {expr[1]!r}")
-            tag, args, count = expr[1], expr[2:], 1
+            usage, args, count = f"builtin {expr[1]!r} takes 1 operand", expr[2:], 1
         elif tag == "join" or tag == "meet":
-            args, count = expr[1:], 2
+            usage, args, count = f"form {tag!r} takes 2 operands", expr[1:], 2
         elif tag == "cell" and len(expr) == 3:
             if expr[1] not in points:
                 raise SchemeError(f"unknown point {expr[1]!r}")
@@ -109,7 +109,7 @@ class Scheme:
         else:
             raise SchemeError(f"bad expression node {expr!r}")
         if count != len(args):
-            raise SchemeError(f"builtin {tag!r} takes {count} arguments, got {len(args)}")
+            raise SchemeError(f"{usage}, got {len(args)}")
         for a in args:
             self._validate_expr(a, points)
 
@@ -149,10 +149,9 @@ def _cell_edges(point, expr):
     """(caller, callee, strict) triples for all cells at any nesting depth."""
     if expr[0] == "cell":
         yield (point, expr[1], expr[2] != ("ctx",))
-    if expr[0] != "lit":
-        for a in expr[1:]:
-            if isinstance(a, tuple):
-                yield from _cell_edges(point, a)
+    for a in expr[1:]:
+        if isinstance(a, tuple):
+            yield from _cell_edges(point, a)
 
 
 def _components(nodes, succs):
@@ -200,8 +199,6 @@ def _cycle_through(src, dst, comp, succs):
     A breadth-first search from dst over the edges that stay in the component
     (`comp` numbers them, see `_components`) finds a shortest way back to src.
     """
-    if src == dst:
-        return (src, src)
     parent = {dst: None}
     frontier = deque([dst])
     while frontier:
@@ -244,7 +241,6 @@ def check_stratified(scheme: Scheme):
             return CounterexampleCycle(_cycle_through(u, u2, comp, succs))
     level = [0] * len(scheme.points)
     for u, u2, strict in sorted(edges, key=lambda edge: comp[edge[0]]):
-        c, c2 = comp[u], comp[u2]
-        if c != c2:
-            level[c] = max(level[c], level[c2] + strict)
+        c = comp[u]
+        level[c] = max(level[c], level[comp[u2]] + strict)
     return {u: level[comp[u]] for u in scheme.points}

@@ -42,8 +42,8 @@ phase 0 and warrow_solve loop per first touch; in phase 1 an ENTER frame
 waits for a variable's phase-0 solve, copies its value into sigma1, queues
 it with its readers and turns into the NARROW loop, and a loop that pops a
 slot not yet in sigma1 enters it (pending) and narrows it once that returns;
-tsmp's loop mode is its flag, and an evaluation (pending) that flips it below
-the loop nests a loop.
+tsmp's loop mode is its flag: a WARROW loop whose evaluation (pending) narrows
+nests a NARROW loop from pending's slot, and a NARROW loop nests none.
 
 Every solver requests a variable's right-hand side once per solve: tsrr
 before it starts, the others at the variable's first evaluation, after the
@@ -57,14 +57,16 @@ one flat list of variable and value per read, in order, ending in its result.
 A NARROW evaluation of a variable with a record replays it in a loop of its
 own, which per read does what a program's look-up does (slot, by one hash of
 the recorded variable; sigma1 value; point mark; influence entry) and then
-compares the value with the recorded one.  A variable not yet in sigma1
-suspends the replay as it would a program, as the frame (reader, point flag,
-record, position, REPLAYING); the resumed replay looks that read up afresh.
-If every value is as recorded, the recorded result is reused, which is no
-evaluation.  At the first that is not, the record is dropped and the program
-runs from its start, through the same fuel check and count as a fresh
-evaluation, fed the values read so far: a value read before the replay was
-suspended may have changed since, and the program must see the one read.
+compares the value with the recorded one.  A variable not yet in sigma1 has no
+value to match, and suspends the replay as it would a program, as the frame
+(reader, point flag, record, position, REPLAYING); the resumed replay looks
+that read up afresh.  If every value is as recorded, the recorded result is
+reused, which is no evaluation.  At the first that is not, the program runs
+from its start, through the same fuel check and count as a fresh evaluation,
+fed the values read so far: a value read before the replay was suspended may
+have changed since, and the program must see the one read.  The record stays:
+a later replay reuses it only if every read gives the recorded value again, and
+a pure right-hand side then returns the recorded result.
 """
 
 from __future__ import annotations
@@ -291,7 +293,6 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                     sigma0[u] = bot
                     frames += u, u if flips else None, first
                     nxt, nmode = u, first
-                u = None
             # A loop frame (lo, pending, mode) re-evaluates queued slots of at least lo.
             while nxt is None and frames and (fmode := frames[-1]) <= ENTER:
                 lo, pending = frames[-3], frames[-2]
@@ -311,11 +312,9 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                     if not flips:  # pending's phase-1 solve returned: narrow it
                         nxt, nmode = pending, NARROW
                         continue
-                    m = NARROW if ret else WARROW  # tsmp: pending's evaluation returned
-                    if m != fmode and pending > lo:
-                        frames += pending, None, m
+                    if ret and fmode == WARROW:  # tsmp: a narrowing nests a NARROW loop
+                        frames += pending, None, NARROW
                         continue
-                    frames[-1] = fmode = m
                 if heap and -heap[0] >= lo:
                     w = -heappop(heap)
                     members.remove(w)
@@ -342,13 +341,11 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
             elif frames[-1] == REPLAYING:  # resume the replay at the read it stopped at
                 r, isp, rec, i, _ = frames[-5:]
                 del frames[-5:]
-                mode, sig = NARROW, sigma1
             else:  # resume the program on top: complete its look-up of u
                 r, mode, isp, pc, u, base, mark, _ = frames[-8:]
                 del frames[-8:]
                 code, ctx = codes[r], ctxs[r]
                 end = len(code)
-                sig = sigma0 if mode == WIDEN else sigma1
                 v = sig[u]
                 if mode == WIDEN:
                     reads += variables[u], v
@@ -365,8 +362,6 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                 while i < n:
                     u = slot_get(rec[i])
                     v = sig[u]
-                    if v is UNSET:
-                        break
                     if u <= r:
                         point[u] = 1
                     s = infl[u]
@@ -383,7 +378,6 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                     frames += r, isp, rec, i, REPLAYING
                     continue
                 else:  # run r's program instead, fed the values read so far
-                    del recorded[r]
                     fed = rec[1:i:2]
                     fed.append(v)
                     fed.reverse()
@@ -518,9 +512,7 @@ def _demand(system: EquationSystem, start, ops: LatticeOps, first: int,
                         ret = True
                 elif ret:
                     new = meet(old, new)
-                if eq(old, new):
-                    ret = True
-                else:
+                if not eq(old, new):
                     sig[r] = new
                     for w in infl[r] or ():
                         insert(w)

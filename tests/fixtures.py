@@ -408,135 +408,201 @@ def reference_tsrr(variables, system, ops):
     return SolverResult(Assignment(ops, sigma), stats, SolveStatus.COMPLETED)
 
 
-# --- reference tstp -------------------------------------------------------------
+# --- reference tstp and tsmp ------------------------------------------------------
 #
-# The two-phase solver with the demand-driven core it ran on before it reused
-# recorded results: every phase-1 evaluation runs the right-hand side, and a
-# variable first touched by the queue is evaluated twice.  `tstp` must agree
-# with it on the assignments, `sigma0`, the status and every count but
-# `rhs_evals`, which may only be lower.
+# The demand-driven solvers on the recursive core they ran on before their
+# core became one loop over a frame stack.  `reference_tstp` is the two-phase
+# solver before it reused recorded results: every phase-1 evaluation runs the
+# right-hand side, and a variable first touched by the queue is evaluated
+# twice.  `tstp` must agree with it on the assignments, `sigma0`, the status
+# and every count but `rhs_evals`, which may only be lower.  `reference_tsmp`
+# is the mixed-phase solver as it iterated before: `tsmp` must agree with it
+# on everything, counts included.
 
 class _ReferenceOutOfFuel(Exception):
     pass
 
 
-def reference_tstp(system, start, ops, *, var_budget=DEFAULT_VAR_BUDGET, fuel=None):
-    """Demand-driven two-phase solving from one start variable.
+class _ReferenceCore:
+    """Slots, influence, points, queue, fuel and the update rule of both references.
 
     Variables get dense slots in discovery order and a slot's negation is its
-    priority.  Phase 0 widens at points into sigma0; phase 1 copies a value
-    over on first touch, narrows at points and takes the meet elsewhere.
+    priority; the heap holds negated slots, so the lowest-priority slot comes
+    first.  Assignments are dicts from slot to value, owned by the solvers.
     """
-    if fuel is not None and fuel < 1:
-        raise ValueError("fuel must be >= 1")
-    slot = {}        # variable -> slot
-    variables = []   # slot -> variable
-    trees = []       # slot -> right-hand side, once requested
-    infl = []        # slot -> slots of its readers
-    point = set()
-    heap = []        # negated slots: the lowest-priority slot comes first
-    queued = set()
-    stats = Stats()
-    sigma0 = {}
-    sigma1 = {}
-    reader = None
 
-    def discover(y):
-        t = len(variables)
-        if t >= var_budget:
-            raise VarBudgetExceeded(var_budget)
-        slot[y] = t
-        variables.append(y)
-        trees.append(None)
-        infl.append(set())
+    def __init__(self, system, ops, var_budget, fuel):
+        if fuel is not None and fuel < 1:
+            raise ValueError("fuel must be >= 1")
+        self.system, self.ops, self.var_budget, self.fuel = system, ops, var_budget, fuel
+        self.slot = {}        # variable -> slot
+        self.variables = []   # slot -> variable
+        self.trees = []       # slot -> right-hand side, once requested
+        self.infl = []        # slot -> slots of its readers
+        self.point = set()
+        self.heap = []
+        self.queued = set()
+        self.stats = Stats()
+        self.reader = None
+
+    def discover(self, y):
+        t = len(self.variables)
+        if t >= self.var_budget:
+            raise VarBudgetExceeded(self.var_budget)
+        self.slot[y] = t
+        self.variables.append(y)
+        self.trees.append(None)
+        self.infl.append(set())
         return t
 
-    def requeue(t):
-        for u in infl[t]:
-            if u not in queued:
-                queued.add(u)
-                heappush(heap, -u)
-        infl[t] = set()
+    def requeue(self, t):
+        for u in self.infl[t]:
+            if u not in self.queued:
+                self.queued.add(u)
+                heappush(self.heap, -u)
+        self.infl[t] = set()
 
-    def extract():
-        u = -heappop(heap)
-        queued.discard(u)
+    def extract(self):
+        u = -heappop(self.heap)
+        self.queued.discard(u)
         return u
 
-    def reading(sigma, solve):
+    def reading(self, sigma, solve):
+        """The look-up into `sigma`; a first touch calls solve(t, reader's priority)."""
+
         def lookup(z):
-            r = reader
-            t = slot.get(z)
+            r = self.reader
+            t = self.slot.get(z)
             if t is None:
-                t = discover(z)
+                t = self.discover(z)
             if t not in sigma:
                 solve(t, -r)
             if t <= r:
-                point.add(t)
-            infl[t].add(r)
+                self.point.add(t)
+            self.infl[t].add(r)
             return sigma[t]
 
         return lookup
 
-    def do_var(t, sigma, narrowing, lookup):
-        nonlocal reader
-        isp = t in point
-        point.discard(t)
-        if stats.rhs_evals == fuel:
+    def do_var(self, t, sigma, mode, lookup):
+        """Re-evaluate t in mode "widen", "narrow" or "warrow"; True if the update
+        was sound: stable, a narrowing, or in "narrow" mode."""
+        ops, stats = self.ops, self.stats
+        isp = t in self.point
+        self.point.discard(t)
+        if stats.rhs_evals == self.fuel:
             raise _ReferenceOutOfFuel
         stats.rhs_evals += 1
-        if trees[t] is None:
-            trees[t] = system.rhs(variables[t])
-        outer, reader = reader, t
-        new = eval_tree(trees[t], lookup)
-        reader = outer
+        if self.trees[t] is None:
+            self.trees[t] = self.system.rhs(self.variables[t])
+        outer, self.reader = self.reader, t
+        new = eval_tree(self.trees[t], lookup)
+        self.reader = outer
         old = sigma[t]
+        sound = mode == "narrow"
         if isp:
-            if narrowing:
-                new = ops.narrow(old, new)
-                stats.narrow_apps += 1
-            else:
+            if mode == "widen" or not (sound or ops.leq(new, old)):
                 new = ops.widen(old, new)
                 stats.widen_apps += 1
-        elif narrowing:
+            else:
+                new = ops.narrow(old, new)
+                stats.narrow_apps += 1
+                sound = True
+        elif sound:
             new = ops.meet(old, new)
-        if not ops.eq(old, new):
-            sigma[t] = new
-            requeue(t)
+        if ops.eq(old, new):
+            return True
+        sigma[t] = new
+        self.requeue(t)
+        return sound
+
+    def result(self, completed, sigma, sigma0=None):
+        """The solver's result, its assignments keyed by variable again."""
+        stats = self.stats
+        stats.vars_encountered = len(self.variables)
+        if self.fuel is not None:
+            stats.fuel_used = stats.rhs_evals
+
+        def named(s):
+            return Assignment(self.ops, {self.variables[t]: d for t, d in s.items()})
+
+        status = SolveStatus.COMPLETED if completed else SolveStatus.FUEL_EXHAUSTED
+        return SolverResult(named(sigma), stats, status,
+                            None if sigma0 is None else named(sigma0))
+
+
+def reference_tstp(system, start, ops, *, var_budget=DEFAULT_VAR_BUDGET, fuel=None):
+    """Demand-driven two-phase solving from one start variable.
+
+    Phase 0 widens at points into sigma0; phase 1 copies a value over on first
+    touch, narrows at points and takes the meet elsewhere.
+    """
+    core = _ReferenceCore(system, ops, var_budget, fuel)
+    heap, do_var, extract = core.heap, core.do_var, core.extract
+    sigma0 = {}
+    sigma1 = {}
 
     def solve0(t, _n=None):
         sigma0[t] = ops.bot
-        do_var(t, sigma0, False, eval0)
+        do_var(t, sigma0, "widen", eval0)
         while heap and heap[0] <= -t:
-            do_var(extract(), sigma0, False, eval0)
+            do_var(extract(), sigma0, "widen", eval0)
 
     def solve1(t, n):
         if t not in sigma0:
             solve0(t)
         sigma1[t] = sigma0[t]
-        infl[t].add(t)
-        requeue(t)
+        core.infl[t].add(t)
+        core.requeue(t)
         while heap and heap[0] < n:
             u = extract()
             if u not in sigma1:
                 solve1(u, -u)
-            do_var(u, sigma1, True, eval1)
+            do_var(u, sigma1, "narrow", eval1)
 
-    eval0 = reading(sigma0, solve0)
-    eval1 = reading(sigma1, solve1)
+    eval0 = core.reading(sigma0, solve0)
+    eval1 = core.reading(sigma1, solve1)
     try:
-        solve1(discover(start), 1)
+        solve1(core.discover(start), 1)
         completed = True
     except _ReferenceOutOfFuel:
         completed = False
     # Break the closure cycle.
     del solve0, solve1, eval0, eval1
-    stats.vars_encountered = len(variables)
-    if fuel is not None:
-        stats.fuel_used = stats.rhs_evals
+    return core.result(completed, sigma1, sigma0)
 
-    def named(s):
-        return Assignment(ops, {variables[t]: d for t, d in s.items()})
 
-    status = SolveStatus.COMPLETED if completed else SolveStatus.FUEL_EXHAUSTED
-    return SolverResult(named(sigma1), stats, status, named(sigma0))
+def reference_tsmp(system, start, ops, *, var_budget=DEFAULT_VAR_BUDGET, fuel=None):
+    """Demand-driven mixed-phase solving from one start variable.
+
+    `iterate(b, n)` re-evaluates queued variables of priority up to n with the
+    flag b: narrowing once an update was sound, warrowing before.  An update
+    that flips the flag below n first iterates the variables below it with
+    the new flag.
+    """
+    core = _ReferenceCore(system, ops, var_budget, fuel)
+    heap, do_var, extract = core.heap, core.do_var, core.extract
+    sigma = {}
+
+    def solve(t, _n=None):
+        sigma[t] = ops.bot
+        iterate(do_var(t, sigma, "warrow", lookup), -t)
+
+    def iterate(b, n):
+        while heap and heap[0] <= n:
+            t = extract()
+            b2 = do_var(t, sigma, "narrow" if b else "warrow", lookup)
+            if b != b2 and n > -t:
+                iterate(b2, -t)
+            else:
+                b = b2
+
+    lookup = core.reading(sigma, solve)
+    try:
+        solve(core.discover(start))
+        completed = True
+    except _ReferenceOutOfFuel:
+        completed = False
+    # Break the closure cycle.
+    del solve, iterate, lookup
+    return core.result(completed, sigma)

@@ -58,6 +58,13 @@ def test_sem_expr_unknown_builtin(nested):
         sem_expr(("apply", "mystery", ("ctx",)), 0, {}, nested)
 
 
+# Join and meet are forms, a named function is a builtin.
+OPERAND_COUNT_ERRORS = {
+    ("join", ("ctx",)): "form 'join' takes 2 operands, got 1",
+    ("apply", "inc", ("ctx",), ("ctx",)): "builtin 'inc' takes 1 operand, got 2",
+}
+
+
 @pytest.mark.parametrize("expr", [("join", ("ctx",)), ("apply", "inc"),
                                   ("cell", "w", ("ctx",)), ("get", "u"),
                                   ("cell", "u"), ("cell", "u", ("ctx",), ("ctx",)),
@@ -65,8 +72,10 @@ def test_sem_expr_unknown_builtin(nested):
                                   ("apply", "inc", ("ctx",), ("ctx",))])
 def test_validate_rejects_malformed_expressions(expr):
     inc = {"inc": resolve_builtin("inc", NAT)}
-    with pytest.raises(SchemeError):
+    with pytest.raises(SchemeError) as error:
         Scheme(NAT, ("u",), {"u": expr}, inc, ("u", 0)).validate()
+    message = OPERAND_COUNT_ERRORS.get(expr)
+    assert message is None or str(error.value) == message
 
 
 def test_resolve_builtin_errors():

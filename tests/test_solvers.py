@@ -42,6 +42,7 @@ from fixtures import (
     counted,
     default_recursion_limit,
     random_corpus,
+    reference_tsmp,
     reference_tsrr,
     reference_tstp,
     ring_text,
@@ -684,36 +685,44 @@ def replay_read_changes_files(draw):
 
 @st.composite
 def tstp_inputs(draw):
-    """(system, start, ops) of a random finite, natinf/interval, replay-shaped natinf
-    or stratified scheme input."""
+    """A random input as what reproduces it: ("finite", seed, nvars, descriptor,
+    depth) for `gen_random_system`, ("file", text) for a natinf/interval or
+    replay-shaped natinf file, or ("scheme", text) for a stratified scheme."""
     kind = draw(st.sampled_from(["finite", "infinite", "replay", "scheme"]))
     if kind == "finite":
-        gen = gen_random_system(draw(st.integers(0, 2**31 - 1)), draw(st.integers(1, 30)),
-                                draw(st.sampled_from(FINITE_DESCRIPTORS)),
-                                draw(st.integers(1, 3)), False)
+        return ("finite", draw(st.integers(0, 2**31 - 1)), draw(st.integers(1, 30)),
+                draw(st.sampled_from(FINITE_DESCRIPTORS)), draw(st.integers(1, 3)))
+    if kind == "scheme":
+        return ("scheme", draw(stratified_scheme_files()))
+    files = infinite_lattice_files() if kind == "infinite" else replay_read_changes_files()
+    return ("file", draw(files))
+
+
+def built(case):
+    """(system, start, ops) of a `tstp_inputs` case."""
+    kind, *args = case
+    if kind == "finite":
+        gen = gen_random_system(*args, False)
         return gen.system, gen.variables[0], gen.ops
-    if kind != "scheme":
-        files = infinite_lattice_files() if kind == "infinite" else replay_read_changes_files()
-        prog = parse_finite_file(draw(files))
+    if kind == "file":
+        prog = parse_finite_file(*args)
         return prog.system, prog.var_order[0], prog.ops
-    scheme = parse_scheme_file(draw(stratified_scheme_files()))
+    scheme = parse_scheme_file(*args)
     return instantiate_system(scheme), scheme.start, scheme.ops
 
 
 @settings(deadline=None)
 @given(tstp_inputs())
-@example(parse_finite_file(EX5_NATINF))
-@example(parse_finite_file(DOUBLE_FIRST_TOUCH))
-@example(parse_finite_file(REPLAY_EXITS[0]))
-@example(parse_finite_file(REPLAY_EXITS[1]))
-@example(parse_finite_file(REPLAY_EXITS[2]))
-@example(parse_finite_file(REPLAY_EXITS[3]))
-@example(parse_finite_file(REPLAY_EXITS[4]))
-@example(parse_finite_file(REPLAY_READ_CHANGES))
+@example(("file", EX5_NATINF))
+@example(("file", DOUBLE_FIRST_TOUCH))
+@example(("file", REPLAY_EXITS[0]))
+@example(("file", REPLAY_EXITS[1]))
+@example(("file", REPLAY_EXITS[2]))
+@example(("file", REPLAY_EXITS[3]))
+@example(("file", REPLAY_EXITS[4]))
+@example(("file", REPLAY_READ_CHANGES))
 def test_tstp_agrees_with_reference(case):
-    if not isinstance(case, tuple):  # a parsed file
-        case = case.system, case.var_order[0], case.ops
-    system, start, ops = case
+    system, start, ops = built(case)
     result = tstp(capped(system), start, ops, var_budget=5000)
     reference = reference_tstp(capped(system), start, ops, var_budget=5000)
     assert list(result.assignment.items()) == list(reference.assignment.items())
@@ -722,6 +731,24 @@ def test_tstp_agrees_with_reference(case):
     for field in ("vars_encountered", "widen_apps", "narrow_apps", "fuel_used"):
         assert getattr(result.stats, field) == getattr(reference.stats, field)
     assert result.stats.rhs_evals <= reference.stats.rhs_evals
+
+
+# tsmp against the mixed-phase solver as it iterated on the recursive core:
+# the same assignment, status and counts, run to the end and on a fuel that
+# often runs dry first.
+
+@settings(deadline=None)
+@given(tstp_inputs(), st.integers(1, 100))
+@example(("file", EX5_NATINF), 3)
+@example(("file", MIXED_PHASE_CLIP), 4)
+def test_tsmp_agrees_with_reference(case, fuel):
+    system, start, ops = built(case)
+    for limit in ({}, {"fuel": fuel}):
+        result = tsmp(capped(system), start, ops, var_budget=5000, **limit)
+        reference = reference_tsmp(capped(system), start, ops, var_budget=5000, **limit)
+        assert list(result.assignment.items()) == list(reference.assignment.items())
+        assert result.status is reference.status
+        assert result.stats == reference.stats
 
 
 # A replay that stops at a mismatch feeds the program the values already read,
