@@ -64,9 +64,9 @@ that read up afresh.  If every value is as recorded, the recorded result is
 reused, which is no evaluation.  At the first that is not, the program runs
 from its start, through the same fuel check and count as a fresh evaluation,
 fed the values read so far: a value read before the replay was suspended may
-have changed since, and the program must see the one read.  The record stays:
-a later replay reuses it only if every read gives the recorded value again, and
-a pure right-hand side then returns the recorded result.
+have changed since, and the program must see the one read.  The record stays,
+but is never reused whole: its values are final phase-0 values and sigma1
+only descends from them, so a later replay stops at that read or before it.
 """
 
 from __future__ import annotations

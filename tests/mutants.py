@@ -15,9 +15,8 @@ A survivor is either a test to add or code to delete.  The name does not match
 `test_*`, so pytest does not collect it; it runs a suite per mutant, which is
 too slow for tier-1.  From the repository root:
 
-    python tests/mutants.py                      # every mutant
-    python tests/mutants.py NAME ...             # the named ones
-    python tests/mutants.py --all-tests NAME ... # against all of tests/
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
 
 Hypothesis runs with a fixed seed, so a verdict does not depend on the draw.
 The exit status is 0 only if no mutant survived, hung or failed to apply.
@@ -36,7 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOLVER_TESTS = ("tests/test_solvers.py", "tests/test_golden.py", "tests/test_acceptance.py")
 STRATIFY_TESTS = ("tests/test_interproc.py", "tests/test_solvers.py", "tests/test_golden.py")
-DEFAULT_LIMIT = 240  # seconds per mutant; tier-1's own per-test limit is 60 s
+LIMIT = 240  # seconds per mutant; tier-1's own per-test limit is 60 s
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                               ".perfbench", "*.egg-info")
 
@@ -171,8 +170,9 @@ MUTANTS = [
     Mutant("mismatched-record-kept", S,
            "                    del recorded[r]\n",
            "",
-           "a record is kept after a mismatch: a replay reuses it only when every "
-           "read gives the recorded value",
+           "a record is kept after a mismatch: its values are final phase-0 values "
+           "and sigma1 only descends from them, so the read that differed differs "
+           "again, and a later replay reruns the program at it or before it",
            deleted=True),
     Mutant("replaying-resume-keeps-mode", S,
            "                mode, sig = NARROW, sigma1\n",
@@ -253,7 +253,7 @@ MUTANTS = [
 ]
 
 
-def run(mutant, tests, limit):
+def run(mutant):
     """(verdict, seconds) of one mutant."""
     text = (ROOT / mutant.file).read_text()
     count = text.count(mutant.old)
@@ -267,10 +267,10 @@ def run(mutant, tests, limit):
         (copy / mutant.file).write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                "--hypothesis-seed=0", *tests]
+                "--hypothesis-seed=0", *mutant.tests]
         started = time.monotonic()
         try:
-            done = subprocess.run(argv, cwd=copy, env=env, timeout=limit,
+            done = subprocess.run(argv, cwd=copy, env=env, timeout=LIMIT,
                                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         except subprocess.TimeoutExpired:
             return "hung", time.monotonic() - started
@@ -282,10 +282,6 @@ def run(mutant, tests, limit):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--all-tests", action="store_true",
-                        help="run every mutant against all of tests/")
-    parser.add_argument("--limit", type=float, default=DEFAULT_LIMIT,
-                        help=f"seconds per mutant (default {DEFAULT_LIMIT})")
     args = parser.parse_args(argv)
     by_name = {m.name: m for m in MUTANTS}
     unknown = [n for n in args.names if n not in by_name]
@@ -294,8 +290,7 @@ def main(argv=None):
     width = max(len(m.name) for m in MUTANTS)
     bad = 0
     for mutant in [by_name[n] for n in args.names] or MUTANTS:
-        tests = ("tests",) if args.all_tests else mutant.tests
-        verdict, seconds = run(mutant, tests, args.limit)
+        verdict, seconds = run(mutant)
         bad += verdict not in ("killed", "deleted")
         print(f"{mutant.name:<{width}}  {verdict:<8}  {seconds:6.1f} s  "
               f"{mutant.file}: {mutant.fault}", flush=True)
