@@ -31,7 +31,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .eqsys import EquationSystem, compile_rhs_dsl, is_closed
+from .eqsys import EquationSystem, compile_rhs_dsl, gc_paused, is_closed
 from .interproc import (
     CounterexampleCycle,
     Scheme,
@@ -334,6 +334,7 @@ class FiniteProgram:
     system: EquationSystem
 
 
+@gc_paused
 def parse_finite_file(text: str) -> FiniteProgram:
     ops, var_order, exprs, _, _ = _parse_file(text, _FINITE)
     rhs = {name: compile_rhs_dsl(expr, ops) for name, expr in exprs.items()}
@@ -350,6 +351,7 @@ def format_finite_file(prog: FiniteProgram) -> str:
 
 # --- scheme files ----------------------------------------------------------------
 
+@gc_paused
 def parse_scheme_file(text: str) -> Scheme:
     ops, point_order, rhs, builtins, (lineno, tokens) = _parse_file(text, _SCHEME)
     if len(tokens) != 2:

@@ -43,6 +43,8 @@ solver's operations.
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
@@ -86,6 +88,26 @@ class Program:
 
 
 Tree = Answer | Query | Program
+
+
+def gc_paused(fn):
+    """`fn` with the cycle collector off for the call.
+
+    For the bulk builders, whose trees, tuples and programs hold no cycles: a
+    collection while they run only re-scans what they have just built.  The
+    collector is turned back on afterwards, exception or not, if it was on.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
 
 
 def as_lookup(source) -> Lookup:

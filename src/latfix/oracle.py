@@ -22,6 +22,7 @@ from .eqsys import (
     compile_rhs_dsl,
     eval_tree,
     extend_top,
+    gc_paused,
 )
 from .lattice import LatticeDescriptor, LatticeOps, make_domain
 
@@ -194,6 +195,7 @@ class GeneratedSystem:
     system: EquationSystem
 
 
+@gc_paused
 def gen_random_system(seed: int, nvars: int, descriptor: LatticeDescriptor,
                       depth: int, monotone_only: bool) -> GeneratedSystem:
     """Deterministic random finite system over a finite lattice.
@@ -205,29 +207,46 @@ def gen_random_system(seed: int, nvars: int, descriptor: LatticeDescriptor,
     `("lit", v)` node per distinct value, and variable names are interned,
     so systems of any size share them.  Sharing changes no draw: the seed
     alone fixes the expressions.
+
+    The seed's `random.Random` is drawn on only through `random()`,
+    `getrandbits` and `ops.sample`.  Each choice among n items is made as
+    CPython 3.11's `Random.choice` makes it, without its frames: draw
+    n.bit_length() bits until they index one of the items.
     """
     ops = make_domain(descriptor)
     if not ops.is_finite:
         raise OracleError("random systems are generated over finite lattices only")
     rng = random.Random(seed)
+    draw, bits = rng.random, rng.getrandbits
     variables = [sys.intern(f"y{i + 1}") for i in range(nvars)]
     gets = [("get", v) for v in variables]
     lits: dict = {}
     forms = ("join", "meet") if monotone_only else ("join", "meet", "ite")
+    nforms = len(forms)
+    get_bits, form_bits = nvars.bit_length(), nforms.bit_length()
 
     def gen_expr(d):
-        if d <= 0 or rng.random() < 0.35:
-            if rng.random() < 0.6:
-                return rng.choice(gets)
+        if d <= 0 or draw() < 0.35:
+            if draw() < 0.6:
+                i = bits(get_bits)
+                while i >= nvars:
+                    i = bits(get_bits)
+                return gets[i]
             value = ops.sample(rng)
             return lits.setdefault(value, ("lit", value))
-        form = rng.choice(forms)
-        if form == "ite":
-            guard = (rng.choice(("eq", "leq")), gen_expr(d - 1), gen_expr(d - 1))
+        i = bits(form_bits)
+        while i >= nforms:
+            i = bits(form_bits)
+        if i == 2:  # forms[2], "ite"; then eq or leq, two items drawn on 2 bits
+            i = bits(2)
+            while i >= 2:
+                i = bits(2)
+            guard = (("eq", "leq")[i], gen_expr(d - 1), gen_expr(d - 1))
             return ("ite", guard, gen_expr(d - 1), gen_expr(d - 1))
-        return (form, gen_expr(d - 1), gen_expr(d - 1))
+        return (forms[i], gen_expr(d - 1), gen_expr(d - 1))
 
     exprs = {v: gen_expr(depth) for v in variables}
+    del gen_expr  # its closure refers to itself: a cycle the collector would free
     rhs = {v: compile_rhs_dsl(e, ops) for v, e in exprs.items()}
     system = EquationSystem(rhs, all_vars=variables)
     return GeneratedSystem(descriptor, ops, variables, exprs, system)

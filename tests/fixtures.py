@@ -26,7 +26,7 @@ from latfix.cli import main
 from latfix.eqsys import OP_CALL, Program, as_lookup
 from latfix.interproc import _cell_edges
 from latfix.solvers import DEFAULT_VAR_BUDGET
-from latfix.lattice import Chain, Powerset
+from latfix.lattice import Chain, Powerset, make_domain
 
 from oracle_ref import call_loop_system
 
@@ -348,6 +348,31 @@ def reference_system(gen):
     """The generated system's equations as reference trees."""
     rhs = {v: reference_compile_dsl(e, gen.ops) for v, e in gen.exprs.items()}
     return EquationSystem(rhs, all_vars=gen.variables)
+
+
+def reference_gen_exprs(seed, nvars, descriptor, depth, monotone_only):
+    """The expressions `gen_random_system` draws, drawn through `Random.choice`.
+
+    The generator makes `choice`'s draws itself, straight from `getrandbits`;
+    this is the plain form its expressions must equal.
+    """
+    ops = make_domain(descriptor)
+    rng = random.Random(seed)
+    variables = [f"y{i + 1}" for i in range(nvars)]
+    forms = ("join", "meet") if monotone_only else ("join", "meet", "ite")
+
+    def gen_expr(d):
+        if d <= 0 or rng.random() < 0.35:
+            if rng.random() < 0.6:
+                return ("get", rng.choice(variables))
+            return ("lit", ops.sample(rng))
+        form = rng.choice(forms)
+        if form == "ite":
+            guard = (rng.choice(("eq", "leq")), gen_expr(d - 1), gen_expr(d - 1))
+            return ("ite", guard, gen_expr(d - 1), gen_expr(d - 1))
+        return (form, gen_expr(d - 1), gen_expr(d - 1))
+
+    return {v: gen_expr(depth) for v in variables}
 
 
 # --- reference tsrr -------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Trees, dependency extraction, closedness, and the expression DSL."""
 
+import contextlib
+import gc
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,13 +16,26 @@ from latfix import (
     compile_rhs_dsl,
     eval_tree,
     extend_top,
+    gen_random_system,
     is_closed,
     tree_dep,
 )
+from latfix.eqsys import gc_paused
 from latfix.lattice import Chain, INF, NatInf, Powerset, make_domain
-from latfix.cli import parse_finite_file
+from latfix.cli import FiniteProgram, format_finite_file, parse_finite_file, parse_scheme_file
 
-from fixtures import EX1_NATINF, EX5_NATINF, branching_tree, eval_tree_traced
+from fixtures import (
+    EX1_NATINF,
+    EX5_NATINF,
+    SCHEME_CTX_SELF,
+    SCHEME_NESTED_INTERVAL,
+    branching_tree,
+    eval_tree_traced,
+    ring_text,
+    stratified_chain_text,
+)
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 NAT = make_domain(NatInf())
 
@@ -197,3 +213,73 @@ def test_equation_system_from_mapping():
     lazy = EquationSystem(lambda v: Answer(0))
     assert lazy.all_vars is None
     assert eval_tree(lazy.rhs("whatever"), {}) == 0
+
+
+# --- pausing the cycle collector -------------------------------------------------------
+
+@contextlib.contextmanager
+def collector(enabled):
+    """Run the body with the cycle collector on or off, then restore its state."""
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+@gc_paused
+def failing():
+    assert not gc.isenabled()
+    raise ValueError("failed")
+
+
+def test_gc_paused_turns_the_collector_back_on_after_an_exception():
+    with collector(True):
+        with pytest.raises(ValueError):
+            failing()
+        assert gc.isenabled()
+
+
+def test_gc_paused_leaves_a_collector_the_caller_disabled_disabled():
+    with collector(False):
+        gc_paused(gc.isenabled)()
+        assert not gc.isenabled()
+        with pytest.raises(ValueError):
+            failing()
+        assert not gc.isenabled()
+
+
+def test_nested_gc_paused_restores_the_outer_state():
+    inner = gc_paused(gc.isenabled)
+
+    @gc_paused
+    def outer():
+        return inner(), gc.isenabled()
+
+    with collector(True):
+        assert outer() == (False, False)
+        assert gc.isenabled()
+
+
+def test_the_paused_builders_leave_no_cyclic_garbage():
+    """What pausing the collector rests on: the builders free all they drop
+    by reference counts, so a collection during a build finds nothing."""
+    generated = [(seed, nvars, descriptor, depth, seed % 2 == 0)
+                 for seed, (nvars, descriptor, depth) in enumerate([
+                     (1, Chain(3), 0), (7, Chain(6), 3), (50, Powerset(("a", "b")), 3),
+                     (150, Powerset(("a", "b", "c", "d")), 4), (33, Chain(1), 2)])]
+    finite = [path.read_text() for path in sorted(SAMPLES.glob("*.lat"))]
+    finite += [ring_text(50)] + [
+        format_finite_file(FiniteProgram(gen.ops, gen.variables, gen.exprs, gen.system))
+        for gen in (gen_random_system(*args) for args in generated)]
+    schemes = [path.read_text() for path in sorted(SAMPLES.glob("*.sch"))]
+    schemes += [stratified_chain_text(50), SCHEME_CTX_SELF, SCHEME_NESTED_INTERVAL]
+    calls = ([(gen_random_system, args) for args in generated]
+             + [(parse_finite_file, (text,)) for text in finite]
+             + [(parse_scheme_file, (text,)) for text in schemes])
+    with collector(False):
+        gc.collect()
+        for index, (build, args) in enumerate(calls):
+            build(*args)
+            assert gc.collect() == 0, (build.__name__, index)

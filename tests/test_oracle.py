@@ -23,7 +23,7 @@ from latfix import (
 from latfix.cli import parse_finite_file
 from latfix.lattice import Chain, Interval, Powerset, make_domain
 
-from fixtures import EX1_CHAIN4, EX5_NATINF, loop_call_concrete
+from fixtures import EX1_CHAIN4, EX5_NATINF, loop_call_concrete, reference_gen_exprs
 from oracle_ref import (
     ConcreteSystem,
     call_loop_system,
@@ -254,6 +254,21 @@ def test_generator_is_deterministic():
     b = gen_random_system(1, 2, Chain(3), 2, monotone_only=True)
     assert a.exprs == b.exprs
     assert a.variables == b.variables
+
+
+# The benchmark's finite lattices, and the smallest of each kind.
+GENERATOR_LATTICES = [Chain(1), Chain(3), Chain(4), Chain(5), Chain(6), Powerset(("a",)),
+                      Powerset(("a", "b")), Powerset(("a", "b", "c")),
+                      Powerset(("a", "b", "c", "d"))]
+
+
+def test_generator_draws_what_random_choice_draws():
+    rng = random.Random(22)
+    for i in range(450):
+        args = (rng.getrandbits(32), rng.randint(1, 60),
+                GENERATOR_LATTICES[i % len(GENERATOR_LATTICES)], rng.randint(0, 4),
+                rng.random() < 0.5)
+        assert gen_random_system(*args).exprs == reference_gen_exprs(*args), args
 
 
 def _leaves(expr):

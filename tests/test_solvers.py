@@ -202,7 +202,7 @@ def test_demand_driven_solvers_solve_a_deep_stratified_chain():
     system = instantiate_system(scheme)
     for solver in (tstp, tsmp):
         with default_recursion_limit():
-            result = solver(system, scheme.start, scheme.ops)
+            result = solver(system, scheme.start, scheme.ops, fuel=4 * n)
         assert result.status is SolveStatus.COMPLETED
         assert result.stats.vars_encountered == 2 * n - 1
         assert result.stats.rhs_evals == 4 * n
@@ -335,7 +335,7 @@ def _max_requests(name, system, start, ops, variables=None):
         elif name == "warrow":
             warrow_solve(system, start, ops, 200, var_budget=50)
         else:
-            (tstp if name == "tstp" else tsmp)(system, start, ops, var_budget=50)
+            solve_capped(tstp if name == "tstp" else tsmp, system, start, ops, var_budget=50)
     return max(requests.values())
 
 
