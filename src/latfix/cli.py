@@ -31,7 +31,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .eqsys import EquationSystem, compile_rhs_dsl, gc_paused, is_closed
+from .eqsys import FiniteProgram, gc_paused, is_closed
 from .interproc import (
     CounterexampleCycle,
     Scheme,
@@ -44,7 +44,6 @@ from .lattice import (
     Chain,
     Interval,
     LatticeError,
-    LatticeOps,
     NatInf,
     Powerset,
     make_domain,
@@ -58,7 +57,6 @@ from .oracle import (
 from .solvers import (
     DEFAULT_VAR_BUDGET,
     SolveStatus,
-    Stats,
     VarBudgetExceeded,
     tsmp,
     tsrr,
@@ -180,19 +178,12 @@ class _Reader:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
 
-def _parse_value(ops, token, lineno):
-    try:
-        return ops.parse(token)
-    except LatticeError as exc:
-        raise ParseError(str(exc), lineno) from None
-
-
 def _parse_form(r):
     op = r.take("an operator")
     if op not in r.lang.forms:
         raise ParseError(f"unknown operator {op!r}", r.lineno)
     if op == "lit":
-        return ("lit", _parse_value(r.ops, r.take("a value"), r.lineno))
+        return ("lit", r.ops.parse(r.take("a value")))
     if op == "ctx":
         return _CTX
     if op == "get" or op == "cell":
@@ -204,10 +195,7 @@ def _parse_form(r):
         name = r.take("a builtin name")
         if name != "join" and name != "meet":
             if name not in r.builtins:
-                try:
-                    r.builtins[name] = resolve_builtin(name, r.ops)
-                except (SchemeError, LatticeError) as exc:
-                    raise ParseError(str(exc), r.lineno) from None
+                r.builtins[name] = resolve_builtin(name, r.ops)
             return ("apply", name, _parse_arg(r))
         op = name    # `apply join` is the join form
     if op == "join" or op == "meet":
@@ -243,8 +231,9 @@ def _parse_arg(r):
 def _parse_file(text, lang):
     """Read one file of `lang`: its lattice, its declarations, their expressions.
 
-    Returns the ops, the declared names in order, their expressions, the
-    builtins those use, and the (line, tokens) of a `start` directive.
+    Returns the ops, the expressions by declared name in order, the builtins
+    they use, and the (line, tokens) of a `start` directive.  A lattice or
+    builtin error in a declaration becomes a `ParseError` at its line.
     """
     lines = list(_logical_lines(text))
     if not lines:
@@ -289,28 +278,31 @@ def _parse_file(text, lang):
             exprs[name] = _parse_form(reader)
         except RecursionError:
             raise ParseError("expression nested too deeply", lineno) from None
+        except (LatticeError, SchemeError) as exc:
+            raise ParseError(str(exc), lineno) from None
         if reader.peek() is not None:
             raise ParseError(f"trailing tokens after expression: {reader.peek()!r}",
                              lineno)
-    return ops, list(decls), exprs, reader.builtins, start
+    return ops, exprs, reader.builtins, start
 
 
-def _render(expr, ops):
+def _render(expr, ops, operand=False):
+    """The text of `expr`; as an operand, parenthesized unless it is `ctx`.
+
+    One frame a level, no more than the parser's two, so all it reads renders.
+    An `ite` guard `(cmp, e, e)` renders as an operand headed by its comparison.
+    """
     tag = expr[0]
-    if tag == "lit":
-        return f"lit {ops.format(expr[1])}"
     if tag == "ctx":
         return "ctx"
-    if tag == "ite":
-        cmp_op, lhs, rhs = expr[1]
-        return (f"ite ({cmp_op} {_render_arg(lhs, ops)} {_render_arg(rhs, ops)}) "
-                f"{_render_arg(expr[2], ops)} {_render_arg(expr[3], ops)}")
-    head = expr[:2] if tag in ("get", "cell", "apply") else expr[:1]
-    return " ".join([*head, *[_render_arg(a, ops) for a in expr[len(head):]]])
-
-
-def _render_arg(expr, ops):
-    return "ctx" if expr == _CTX else f"({_render(expr, ops)})"
+    if tag == "lit":
+        text = f"lit {ops.format(expr[1])}"
+    else:
+        head = 2 if tag in ("get", "cell", "apply") else 1
+        text = " ".join(expr[:head])
+        for arg in expr[head:]:
+            text += " " + _render(arg, ops, True)
+    return f"({text})" if operand else text
 
 
 def _lattice_directive(ops):
@@ -326,26 +318,16 @@ def _lattice_directive(ops):
 
 # --- finite-system files --------------------------------------------------------
 
-@dataclass
-class FiniteProgram:
-    ops: LatticeOps
-    var_order: list
-    exprs: dict
-    system: EquationSystem
-
-
 @gc_paused
 def parse_finite_file(text: str) -> FiniteProgram:
-    ops, var_order, exprs, _, _ = _parse_file(text, _FINITE)
-    rhs = {name: compile_rhs_dsl(expr, ops) for name, expr in exprs.items()}
-    system = EquationSystem(rhs, all_vars=var_order)
-    return FiniteProgram(ops, var_order, exprs, system)
+    ops, exprs, _, _ = _parse_file(text, _FINITE)
+    return FiniteProgram.build(ops, exprs)
 
 
 def format_finite_file(prog: FiniteProgram) -> str:
     lines = ["lattice " + _lattice_directive(prog.ops)]
     lines += [f"var {name} = {_render(prog.exprs[name], prog.ops)}"
-              for name in prog.var_order]
+              for name in prog.variables]
     return "\n".join(lines) + "\n"
 
 
@@ -353,14 +335,17 @@ def format_finite_file(prog: FiniteProgram) -> str:
 
 @gc_paused
 def parse_scheme_file(text: str) -> Scheme:
-    ops, point_order, rhs, builtins, (lineno, tokens) = _parse_file(text, _SCHEME)
+    ops, rhs, builtins, (lineno, tokens) = _parse_file(text, _SCHEME)
     if len(tokens) != 2:
         raise ParseError("expected 'start POINT VALUE'", lineno)
     if tokens[0] not in rhs:
         raise ParseError(f"unknown point {tokens[0]!r}", lineno)
+    try:
+        start = (tokens[0], ops.parse(tokens[1]))
+    except LatticeError as exc:
+        raise ParseError(str(exc), lineno) from None
     # The parser has checked all that Scheme.validate checks.
-    start = (tokens[0], _parse_value(ops, tokens[1], lineno))
-    return Scheme(ops, tuple(point_order), rhs, builtins, start)
+    return Scheme(ops, tuple(rhs), rhs, builtins, start)
 
 
 def format_scheme_file(scheme: Scheme) -> str:
@@ -372,25 +357,18 @@ def format_scheme_file(scheme: Scheme) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- comparison report ------------------------------------------------------------
+# --- comparison --------------------------------------------------------------------
 
-@dataclass
-class CompareReport:
-    shared_vars: int
-    equal: int
-    a_more_precise: int
-    b_more_precise: int
-    incomparable: int
-    stats_a: Stats
-    stats_b: Stats
+def compare_assignments(a, b) -> dict:
+    """Bucket every variable both assignments hold by lattice comparison.
 
-
-def compare_assignments(ops, assign_a, assign_b, stats_a, stats_b) -> CompareReport:
-    """Bucket every variable both runs computed by lattice comparison."""
-    shared = assign_a.dom & assign_b.dom
+    The counts are keyed as `compare --json` prints them.
+    """
+    ops = a.ops
+    shared = a.dom & b.dom
     equal = a_more = b_more = incomparable = 0
     for var in shared:
-        va, vb = assign_a[var], assign_b[var]
+        va, vb = a[var], b[var]
         if ops.eq(va, vb):
             equal += 1
         elif ops.leq(va, vb):
@@ -399,8 +377,8 @@ def compare_assignments(ops, assign_a, assign_b, stats_a, stats_b) -> CompareRep
             b_more += 1
         else:
             incomparable += 1
-    return CompareReport(len(shared), equal, a_more, b_more, incomparable,
-                         stats_a, stats_b)
+    return {"shared_vars": len(shared), "equal": equal, "a_more_precise": a_more,
+            "b_more_precise": b_more, "incomparable": incomparable}
 
 
 # --- command implementations --------------------------------------------------------
@@ -436,28 +414,28 @@ def _scheme_start(scheme, override):
 
 
 def _run_solver(kind, prog, solver, fuel, var_budget, start_override):
+    ops = prog.ops
     if kind == "finite":
-        ops, system = prog.ops, prog.system
-        start = prog.var_order[0]
+        system = prog.system
+        start = prog.variables[0]
         if start_override is not None:
-            if start_override not in prog.var_order:
+            if start_override not in prog.variables:
                 raise UsageError(f"unknown start variable {start_override!r}")
             start = start_override
         if solver == "tsrr":  # it solves every variable, so a start changes nothing
-            return ops, tsrr(prog.var_order, system, ops)
+            return tsrr(prog.variables, system, ops)
     else:
         if solver == "tsrr":
             raise UsageError("tsrr requires a finite system file")
-        ops = prog.ops
         system = instantiate_system(prog)
         start = _scheme_start(prog, start_override)
     if solver == "tstp":
-        return ops, tstp(system, start, ops, var_budget=var_budget, fuel=fuel)
+        return tstp(system, start, ops, var_budget=var_budget, fuel=fuel)
     if solver == "tsmp":
-        return ops, tsmp(system, start, ops, var_budget=var_budget, fuel=fuel)
+        return tsmp(system, start, ops, var_budget=var_budget, fuel=fuel)
     if solver == "warrow":
-        return ops, warrow_solve(system, start, ops, fuel or DEFAULT_FUEL,
-                                 var_budget=var_budget)
+        return warrow_solve(system, start, ops, fuel or DEFAULT_FUEL,
+                            var_budget=var_budget)
     raise UsageError(f"unknown solver {solver!r}")
 
 
@@ -489,8 +467,9 @@ def _status_exit(result):
 
 def cmd_solve(args, out):
     kind, prog = _load_file(args.file)
-    ops, result = _run_solver(kind, prog, args.solver, args.fuel,
-                              args.var_budget, args.start)
+    ops = prog.ops
+    result = _run_solver(kind, prog, args.solver, args.fuel, args.var_budget,
+                         args.start)
     assignment = result.assignment
     if args.json:
         payload = _stats_dict(result.stats)
@@ -516,33 +495,28 @@ def cmd_solve(args, out):
 
 def cmd_compare(args, out):
     kind, prog = _load_file(args.file)
-    ops, result_a = _run_solver(kind, prog, args.solver_a, args.fuel,
-                                args.var_budget, args.start)
-    _, result_b = _run_solver(kind, prog, args.solver_b, args.fuel,
-                              args.var_budget, args.start)
-    report = compare_assignments(ops, result_a.assignment, result_b.assignment,
-                                 result_a.stats, result_b.stats)
+    result_a = _run_solver(kind, prog, args.solver_a, args.fuel, args.var_budget,
+                           args.start)
+    result_b = _run_solver(kind, prog, args.solver_b, args.fuel, args.var_budget,
+                           args.start)
+    counts = compare_assignments(result_a.assignment, result_b.assignment)
     if args.json:
         payload = {
             "solver_a": args.solver_a,
             "solver_b": args.solver_b,
-            "shared_vars": report.shared_vars,
-            "equal": report.equal,
-            "a_more_precise": report.a_more_precise,
-            "b_more_precise": report.b_more_precise,
-            "incomparable": report.incomparable,
-            "stats_a": _stats_dict(report.stats_a),
-            "stats_b": _stats_dict(report.stats_b),
+            **counts,
+            "stats_a": _stats_dict(result_a.stats),
+            "stats_b": _stats_dict(result_b.stats),
         }
         print(json.dumps(payload, sort_keys=True), file=out)
     else:
-        print(f"shared: {report.shared_vars}", file=out)
-        print(f"equal: {report.equal}", file=out)
-        print(f"{args.solver_a} more precise: {report.a_more_precise}", file=out)
-        print(f"{args.solver_b} more precise: {report.b_more_precise}", file=out)
-        print(f"incomparable: {report.incomparable}", file=out)
-        for name, stats in ((args.solver_a, report.stats_a),
-                            (args.solver_b, report.stats_b)):
+        print(f"shared: {counts['shared_vars']}", file=out)
+        print(f"equal: {counts['equal']}", file=out)
+        print(f"{args.solver_a} more precise: {counts['a_more_precise']}", file=out)
+        print(f"{args.solver_b} more precise: {counts['b_more_precise']}", file=out)
+        print(f"incomparable: {counts['incomparable']}", file=out)
+        for name, stats in ((args.solver_a, result_a.stats),
+                            (args.solver_b, result_b.stats)):
             print(f"stats {name}: vars={stats.vars_encountered} "
                   f"evals={stats.rhs_evals}", file=out)
     if (result_a.status is SolveStatus.FUEL_EXHAUSTED
@@ -577,8 +551,8 @@ def cmd_verify(args, out):
     ops, system = prog.ops, prog.system
     if not ops.is_finite:
         raise UsageError("verify needs a finite lattice (chain or powerset)")
-    _, result = _run_solver(kind, prog, args.solver, args.fuel,
-                            args.var_budget, args.start)
+    result = _run_solver(kind, prog, args.solver, args.fuel, args.var_budget,
+                         args.start)
     if result.status is not SolveStatus.COMPLETED:
         if args.json:
             print(json.dumps({"solver": args.solver, "status": result.status.value},

@@ -279,6 +279,22 @@ class EquationSystem:
         return self._rhs(var)
 
 
+@dataclass
+class FiniteProgram:
+    """A finite equation system and the expressions it was compiled from."""
+
+    ops: LatticeOps
+    variables: list
+    exprs: dict
+    system: EquationSystem
+
+    @classmethod
+    def build(cls, ops: LatticeOps, exprs: dict) -> "FiniteProgram":
+        """Compile each expression; the variables are the keys of `exprs`, in order."""
+        rhs = {name: compile_rhs_dsl(expr, ops) for name, expr in exprs.items()}
+        return cls(ops, list(exprs), exprs, EquationSystem(rhs))
+
+
 def is_closed(assignment: Assignment, system: EquationSystem) -> bool:
     """Does every domain variable's dependency set stay inside the domain?"""
     dom = assignment.dom

@@ -13,13 +13,12 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-from dataclasses import dataclass
 
 from .eqsys import (
     Assignment,
     EquationSystem,
+    FiniteProgram,
     Tree,
-    compile_rhs_dsl,
     eval_tree,
     extend_top,
     gc_paused,
@@ -186,18 +185,9 @@ def system_monotone(system: EquationSystem, ops: LatticeOps, *,
 
 # --- random systems -----------------------------------------------------------
 
-@dataclass
-class GeneratedSystem:
-    descriptor: LatticeDescriptor
-    ops: LatticeOps
-    variables: list
-    exprs: dict
-    system: EquationSystem
-
-
 @gc_paused
 def gen_random_system(seed: int, nvars: int, descriptor: LatticeDescriptor,
-                      depth: int, monotone_only: bool) -> GeneratedSystem:
+                      depth: int, monotone_only: bool) -> FiniteProgram:
     """Deterministic random finite system over a finite lattice.
 
     Right-hand sides are DSL expressions over get/lit/join/meet, plus
@@ -247,6 +237,4 @@ def gen_random_system(seed: int, nvars: int, descriptor: LatticeDescriptor,
 
     exprs = {v: gen_expr(depth) for v in variables}
     del gen_expr  # its closure refers to itself: a cycle the collector would free
-    rhs = {v: compile_rhs_dsl(e, ops) for v, e in exprs.items()}
-    system = EquationSystem(rhs, all_vars=variables)
-    return GeneratedSystem(descriptor, ops, variables, exprs, system)
+    return FiniteProgram.build(ops, exprs)

@@ -1,4 +1,4 @@
-"""Mutation runner for the demand-driven solver core, `tsrr` and `check_stratified`.
+"""Mutation runner for the solver core, `check_stratified` and the CLI's front end.
 
 Each mutant is one textual edit of a file under `src/`: the old text, the new
 text and the fault it stands for.  The runner copies the repository to a
@@ -35,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOLVER_TESTS = ("tests/test_solvers.py", "tests/test_golden.py", "tests/test_acceptance.py")
 STRATIFY_TESTS = ("tests/test_interproc.py", "tests/test_solvers.py", "tests/test_golden.py")
+CLI_TESTS = ("tests/test_cli.py", "tests/test_golden.py")
 LIMIT = 240  # seconds per mutant; tier-1's own per-test limit is 60 s
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                               ".perfbench", "*.egg-info")
@@ -51,7 +52,7 @@ class Mutant:
     deleted: bool = False  # `new` is now the code: `old` must be gone
 
 
-S, I = "src/latfix/solvers.py", "src/latfix/interproc.py"
+S, I, C = "src/latfix/solvers.py", "src/latfix/interproc.py", "src/latfix/cli.py"
 
 MUTANTS = [
     # --- _demand: killed -------------------------------------------------------
@@ -250,6 +251,21 @@ MUTANTS = [
            "",
            "an edge inside a component is never strict, so folding it changes nothing",
            STRATIFY_TESTS, deleted=True),
+    # --- cli --------------------------------------------------------------------------
+    Mutant("compare-swaps-buckets", C,
+           '"a_more_precise": a_more,\n            "b_more_precise": b_more,',
+           '"a_more_precise": b_more,\n            "b_more_precise": a_more,',
+           "compare counts each side's more precise variables for the other", CLI_TESTS),
+    Mutant("declaration-error-loses-line", C,
+           "        except (LatticeError, SchemeError) as exc:\n"
+           "            raise ParseError(str(exc), lineno) from None\n",
+           "",
+           "a lattice or builtin error in a declaration escapes without its line",
+           CLI_TESTS),
+    Mutant("render-ignores-operand", C,
+           'return f"({text})" if operand else text',
+           "return text",
+           "the formatter writes operands without their parentheses", CLI_TESTS),
 ]
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from latfix.cli import (
     parse_finite_file,
     parse_scheme_file,
 )
-from latfix import Assignment, Stats
+from latfix import Assignment
 from latfix.lattice import NatInf, Powerset, make_domain
 
 from fixtures import (
@@ -56,13 +57,13 @@ def write(tmp_path, name, text):
 
 def test_parse_minmax_file():
     prog = parse_finite_file(EX5_NATINF)
-    assert prog.var_order == ["y1", "y2", "y3"]
+    assert prog.variables == ["y1", "y2", "y3"]
     assert isinstance(prog.ops.descriptor, NatInf)
 
 
 def test_parse_flipflop_file():
     prog = parse_finite_file(EX1_NATINF)
-    assert prog.var_order == ["y1"]
+    assert prog.variables == ["y1"]
 
 
 def test_parse_errors_carry_line_numbers():
@@ -78,6 +79,34 @@ def test_parse_errors_carry_line_numbers():
         parse_finite_file("lattice chain 0\nvar y = lit 0\n")
     with pytest.raises(ParseError, match="line 2.*'inc'"):
         parse_finite_file("lattice powerset a b\nvar y = inc (get y)\n")
+
+
+# A lattice or builtin error inside a declaration, or in the start value,
+# carries the line it is on.
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_finite_file, "lattice natinf\nvar y = lit x\n",
+     "line 2: natinf: cannot parse 'x'"),
+    (parse_finite_file, "lattice interval\nvar y = lit [3,1]\n",
+     "line 2: interval: bad value (3, 1)"),
+    (parse_finite_file, "lattice chain 3\nvar y = lit 7\n",
+     "line 2: chain(3): bad value 7"),
+    (parse_scheme_file, "scheme natinf\nstart u q\npoint u = ctx\n",
+     "line 2: natinf: cannot parse 'q'"),
+    (parse_scheme_file, "scheme natinf\nstart u 0\npoint u = join ctx (lit -1)\n",
+     "line 3: natinf: bad value -1"),
+    (parse_scheme_file, "scheme natinf\nstart u 0\npoint u = apply add_const:x ctx\n",
+     "line 3: add_const needs an integer parameter, got 'x'"),
+    (parse_scheme_file, "scheme natinf\nstart u 0\npoint u = apply meet_const:zz ctx\n",
+     "line 3: natinf: cannot parse 'zz'"),
+    (parse_scheme_file, "scheme natinf\nstart u 0\npoint u = apply nope ctx\n",
+     "line 3: unknown builtin 'nope'"),
+    (parse_scheme_file, "scheme powerset a b\nstart u {}\npoint u = apply inc ctx\n",
+     "line 3: 'inc' is not defined on powerset({a,b})"),
+])
+def test_value_and_builtin_errors_carry_their_line(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 def test_parse_scheme_rejects_arith_on_powerset():
@@ -174,12 +203,42 @@ def test_moderate_nesting_still_parses_and_solves(tmp_path):
     assert f"u:0 = {depth}" in out
 
 
+def _deepest(text_at, parse):
+    """The largest depth at which `parse(text_at(depth))` is no parse error."""
+    lo, hi = 1, sys.getrecursionlimit()  # nesting costs at least a frame a level
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            parse(text_at(mid))
+            lo = mid
+        except ParseError:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize("parse, render, text_at", [
+    (parse_finite_file, format_finite_file,
+     lambda d: "lattice natinf\nvar y = " + "inc (" * d + "get y" + ")" * d + "\n"),
+    (parse_scheme_file, format_scheme_file,
+     lambda d: ("scheme natinf\nstart u 0\npoint u = "
+                + "join ctx (" * d + "cell u ctx" + ")" * d + "\n")),
+], ids=["finite", "scheme"])
+def test_the_deepest_nesting_the_parser_accepts_formats_and_parses_back(
+        parse, render, text_at):
+    # The text is already in the formatter's layout, so writing back what it
+    # parses to gives the same text, which parses to the same expressions.
+    with default_recursion_limit():
+        depth = _deepest(text_at, parse)
+        assert depth > 400
+        assert render(parse(text_at(depth))) == text_at(depth)
+
+
 def test_roundtrip_finite():
     prog = parse_finite_file(EX5_NATINF)
     text = format_finite_file(prog)
     again = parse_finite_file(text)
     assert again.exprs == prog.exprs
-    assert again.var_order == prog.var_order
+    assert again.variables == prog.variables
     assert again.ops.descriptor == prog.ops.descriptor
     assert format_finite_file(again) == text
 
@@ -378,19 +437,18 @@ def test_compare_report_buckets_sum():
 
     a = tsmp(prog.system, "y1", prog.ops)
     b = tstp(prog.system, "y1", prog.ops)
-    report = compare_assignments(prog.ops, a.assignment, b.assignment,
-                                 a.stats, b.stats)
-    assert (report.equal + report.a_more_precise + report.b_more_precise
-            + report.incomparable) == report.shared_vars
+    assert compare_assignments(a.assignment, b.assignment) == {
+        "shared_vars": 3, "equal": 2, "a_more_precise": 1, "b_more_precise": 0,
+        "incomparable": 0}
 
 
 def test_compare_report_counts_incomparable_values():
     ops = make_domain(Powerset(("a", "b")))
     a = Assignment(ops, {"y": ops.parse("{a}")})
     b = Assignment(ops, {"y": ops.parse("{b}")})
-    report = compare_assignments(ops, a, b, Stats(), Stats())
-    assert (report.shared_vars, report.incomparable) == (1, 1)
-    assert report.equal == report.a_more_precise == report.b_more_precise == 0
+    assert compare_assignments(a, b) == {
+        "shared_vars": 1, "equal": 0, "a_more_precise": 0, "b_more_precise": 0,
+        "incomparable": 1}
 
 
 # --- check-stratified ----------------------------------------------------------------------

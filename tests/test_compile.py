@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import latfix.cli
+import latfix.eqsys
 from latfix import (
     Answer,
     EquationSystem,
@@ -24,13 +25,12 @@ from latfix import (
     warrow_solve,
 )
 from latfix.cli import (
-    FiniteProgram,
     format_finite_file,
     format_scheme_file,
     parse_finite_file,
     parse_scheme_file,
 )
-from latfix.eqsys import OP_CELL, OP_CTX, OP_GET, OP_JOIN, OP_LIT
+from latfix.eqsys import FiniteProgram, OP_CELL, OP_CTX, OP_GET, OP_JOIN, OP_LIT
 from latfix.lattice import Chain, Interval, NatInf, Powerset, make_domain
 
 from fixtures import (
@@ -291,7 +291,7 @@ def _solve_all_samples():
 
 def test_cli_solve_bytes_match_reference_trees(monkeypatch):
     compiled = _solve_all_samples()
-    monkeypatch.setattr(latfix.cli, "compile_rhs_dsl", reference_compile_dsl)
+    monkeypatch.setattr(latfix.eqsys, "compile_rhs_dsl", reference_compile_dsl)
     monkeypatch.setattr(latfix.cli, "instantiate_system", reference_instantiate)
     reference = _solve_all_samples()
     assert compiled == reference

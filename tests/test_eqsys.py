@@ -22,7 +22,7 @@ from latfix import (
 )
 from latfix.eqsys import gc_paused
 from latfix.lattice import Chain, INF, NatInf, Powerset, make_domain
-from latfix.cli import FiniteProgram, format_finite_file, parse_finite_file, parse_scheme_file
+from latfix.cli import format_finite_file, parse_finite_file, parse_scheme_file
 
 from fixtures import (
     EX1_NATINF,
@@ -271,8 +271,7 @@ def test_the_paused_builders_leave_no_cyclic_garbage():
                      (150, Powerset(("a", "b", "c", "d")), 4), (33, Chain(1), 2)])]
     finite = [path.read_text() for path in sorted(SAMPLES.glob("*.lat"))]
     finite += [ring_text(50)] + [
-        format_finite_file(FiniteProgram(gen.ops, gen.variables, gen.exprs, gen.system))
-        for gen in (gen_random_system(*args) for args in generated)]
+        format_finite_file(gen_random_system(*args)) for args in generated]
     schemes = [path.read_text() for path in sorted(SAMPLES.glob("*.sch"))]
     schemes += [stratified_chain_text(50), SCHEME_CTX_SELF, SCHEME_NESTED_INTERVAL]
     calls = ([(gen_random_system, args) for args in generated]

@@ -32,7 +32,7 @@ import latfix.cli
 from latfix import (Chain, Powerset, VarBudgetExceeded, check_stratified,
                     gen_random_system, instantiate_system, tsmp, tsrr, tstp,
                     warrow_solve)
-from latfix.cli import FiniteProgram, format_finite_file
+from latfix.cli import format_finite_file
 
 from fixtures import capped, cli_run, random_corpus
 
@@ -185,8 +185,7 @@ def generator_rendering():
             for monotone_only in (False, True):
                 seed += 1
                 gen = gen_random_system(seed, nvars, descriptor, 3, monotone_only)
-                files.append(format_finite_file(FiniteProgram(
-                    gen.ops, gen.variables, gen.exprs, gen.system)))
+                files.append(format_finite_file(gen))
     return "\n".join(files)
 
 

@@ -41,7 +41,7 @@ POW_AB = make_domain(Powerset(("a", "b")))
 
 def finite_system(text):
     prog = parse_finite_file(text)
-    return prog.ops, prog.system, prog.var_order
+    return prog.ops, prog.system, prog.variables
 
 
 # --- kleene -----------------------------------------------------------------------

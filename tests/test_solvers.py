@@ -71,24 +71,24 @@ def ex1():
 # --- tsrr ------------------------------------------------------------------------
 
 def test_tsrr_terminates_on_flip_flop(ex1):
-    result = tsrr(ex1.var_order, ex1.system, ex1.ops)
+    result = tsrr(ex1.variables, ex1.system, ex1.ops)
     assert result.status is SolveStatus.COMPLETED
     # Oracle check needs a finite lattice: same system encoded on a chain.
     finite = parse_finite_file(EX1_CHAIN4)
-    finite_result = tsrr(finite.var_order, finite.system, finite.ops)
+    finite_result = tsrr(finite.variables, finite.system, finite.ops)
     assert is_post_solution_lower_mono(
         finite_result.assignment, finite.system, finite.ops)
 
 
 def test_tsrr_constant():
     prog = parse_finite_file(LIT5_NATINF)
-    result = tsrr(prog.var_order, prog.system, prog.ops)
+    result = tsrr(prog.variables, prog.system, prog.ops)
     assert values_of(result) == {"y": 5}
 
 
 def test_tsrr_monotone_join():
     prog = parse_finite_file(MONOTONE_CHAIN5)
-    result = tsrr(prog.var_order, prog.system, prog.ops)
+    result = tsrr(prog.variables, prog.system, prog.ops)
     assert prog.ops.leq(3, result.assignment["y1"])
     assert is_post_solution(result.assignment, prog.system)
 
@@ -123,7 +123,7 @@ def test_tsrr_agrees_with_recursive_reference():
             for gen in random_corpus(500)]
     for path in sorted(SAMPLES.glob("*.lat")):
         prog = parse_finite_file(path.read_text())
-        runs.append(_agrees_with_reference(prog.var_order, prog.system, prog.ops))
+        runs.append(_agrees_with_reference(prog.variables, prog.system, prog.ops))
     for field in ("rhs_evals", "narrow_apps"):
         assert (sum(getattr(result.stats, field) for result, _ in runs)
                 < sum(getattr(reference.stats, field) for _, reference in runs))
@@ -131,7 +131,7 @@ def test_tsrr_agrees_with_recursive_reference():
 
 def test_tsrr_follows_reads_that_a_branch_changes():
     prog = parse_finite_file(ITE_READS_NATINF)
-    result, _ = _agrees_with_reference(prog.var_order, prog.system, prog.ops)
+    result, _ = _agrees_with_reference(prog.variables, prog.system, prog.ops)
     assert values_of(result) == {"y1": 2, "y2": 3, "y3": 4}
 
 
@@ -142,14 +142,14 @@ def test_tsrr_reopens_a_level_when_a_sweep_flips_its_flag():
     prog = parse_finite_file(
         "lattice natinf\nvar y1 = lit 2\nvar y2 = lit 5\n"
         "var y3 = ite (leq (lit inf) (get y2)) (lit 1) (lit inf)\n")
-    result, _ = _agrees_with_reference(prog.var_order, prog.system, prog.ops)
+    result, _ = _agrees_with_reference(prog.variables, prog.system, prog.ops)
     assert values_of(result) == {"y1": 2, "y2": 5, "y3": INF}
 
 
 def test_tsrr_solves_rings_deeper_than_the_recursion_limit():
     prog = parse_finite_file(ring_text(1500))
     with default_recursion_limit():
-        result = tsrr(prog.var_order, prog.system, prog.ops)
+        result = tsrr(prog.variables, prog.system, prog.ops)
     assert set(values_of(result).values()) == {50}
 
 
@@ -158,7 +158,7 @@ def test_tsrr_ring_costs_grow_linearly():
     # sweeps applied it some n * n times here.
     n = 100_000
     prog = parse_finite_file(ring_text(n))
-    result = tsrr(prog.var_order, prog.system, prog.ops)
+    result = tsrr(prog.variables, prog.system, prog.ops)
     assert set(values_of(result).values()) == {50}
     assert result.stats.rhs_evals == n + 51
     assert result.stats.widen_apps <= n + 100
@@ -403,7 +403,7 @@ def _assert_sound(prog, result):
 
 def test_pinned_narrowing_clip_two_phase():
     prog = parse_finite_file(TWO_PHASE_CLIP)
-    round_robin = tsrr(prog.var_order, prog.system, prog.ops)
+    round_robin = tsrr(prog.variables, prog.system, prog.ops)
     assert is_post_solution_lower_mono(round_robin.assignment, prog.system,
                                        prog.ops)
     expected = {"y1": 1, "y2": 0, "y3": 0, "y4": 0}
@@ -422,7 +422,7 @@ def test_pinned_narrowing_clip_two_phase():
 
 def test_pinned_narrowing_clip_mixed_phase():
     prog = parse_finite_file(MIXED_PHASE_CLIP)
-    round_robin = tsrr(prog.var_order, prog.system, prog.ops)
+    round_robin = tsrr(prog.variables, prog.system, prog.ops)
     assert is_post_solution_lower_mono(round_robin.assignment, prog.system,
                                        prog.ops)
     expected = {"y1": frozenset(), "y2": frozenset(), "y3": frozenset()}
@@ -514,7 +514,7 @@ def infinite_lattice_files(draw):
 def test_demand_driven_solvers_terminate_on_infinite_lattices(text):
     prog = parse_finite_file(text)
     for solver in (tstp, tsmp):
-        result = solve_capped(solver, prog.system, prog.var_order[0], prog.ops)
+        result = solve_capped(solver, prog.system, prog.variables[0], prog.ops)
         assert result.status is SolveStatus.COMPLETED
         assert is_closed(result.assignment, prog.system)
 
@@ -525,7 +525,7 @@ def test_tsrr_agrees_with_reference_on_infinite_lattices(text, rng):
     # Real widening and narrowing, where a level settled by its flag alone
     # must be re-opened when a later sweep flips the flag.
     prog = parse_finite_file(text)
-    variables = list(prog.var_order)
+    variables = list(prog.variables)
     rng.shuffle(variables)
     _agrees_with_reference(variables, capped(prog.system), prog.ops)
 
@@ -706,7 +706,7 @@ def built(case):
         return gen.system, gen.variables[0], gen.ops
     if kind == "file":
         prog = parse_finite_file(*args)
-        return prog.system, prog.var_order[0], prog.ops
+        return prog.system, prog.variables[0], prog.ops
     scheme = parse_scheme_file(*args)
     return instantiate_system(scheme), scheme.start, scheme.ops
 
@@ -785,7 +785,7 @@ def test_tstp_looks_each_variable_up_as_the_reference_does(text):
     looked_up, evals = [], []
     for solver in (tstp, reference_tstp):
         system, name, hashes = _counting_names(prog.system)
-        result = solver(system, name(prog.var_order[0]), prog.ops)
+        result = solver(system, name(prog.variables[0]), prog.ops)
         looked_up.append(hashes)
         evals.append(result.stats.rhs_evals)
     assert looked_up[0].keys() == looked_up[1].keys()
@@ -802,7 +802,7 @@ def test_tstp_looks_each_variable_up_as_the_reference_does(text):
 @pytest.mark.parametrize("text", [EX5_NATINF, DOUBLE_FIRST_TOUCH])
 def test_tstp_runs_dry_at_every_fuel_below_its_evaluations(text):
     prog = parse_finite_file(text)
-    start = prog.var_order[0]
+    start = prog.variables[0]
     unfueled = tstp(prog.system, start, prog.ops)
     for fuel in range(1, unfueled.stats.rhs_evals):
         short = tstp(prog.system, start, prog.ops, fuel=fuel)
