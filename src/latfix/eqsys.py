@@ -16,6 +16,12 @@ is well defined.  It takes one of two forms, and `eval_tree` runs both:
            static data, so evaluation allocates no nodes or closures.  A
            right-hand side that reads nothing compiles to an `Answer`.
 
+A finite system (`FiniteProgram.build`) stores each compiled right-hand
+side's code tuple, not its `Program`, and its `rhs(var)` wraps the code in a
+fresh `Program` on each request, as a scheme's system does per (point,
+context).  The solvers request each right-hand side once per solve and keep
+only its code, so no `Program` lives per variable.
+
 Instructions (operands in brackets; "pop b, a" pops the top first):
 
   GET [var]          push lookup(var)
@@ -254,7 +260,8 @@ class EquationSystem:
     """Total mapping from variables to right-hand sides (trees or programs).
 
     The mapping may be defined lazily over an infinite variable space; for
-    explicitly finite systems `all_vars` lists every variable.  Repeated
+    explicitly finite systems `all_vars` lists every variable.  The list is
+    kept as given, not copied, so its owner must not change it.  Repeated
     requests for the same variable must yield behaviorally identical ones.
     """
 
@@ -273,7 +280,7 @@ class EquationSystem:
             self._rhs = from_map
             if all_vars is None:
                 all_vars = list(mapping)
-        self.all_vars = list(all_vars) if all_vars is not None else None
+        self.all_vars = all_vars
 
     def rhs(self, var) -> Tree:
         return self._rhs(var)
@@ -281,7 +288,10 @@ class EquationSystem:
 
 @dataclass
 class FiniteProgram:
-    """A finite equation system and the expressions it was compiled from."""
+    """A finite equation system and the expressions it was compiled from.
+
+    `variables` is the system's `all_vars` list itself, not a copy.
+    """
 
     ops: LatticeOps
     variables: list
@@ -290,9 +300,25 @@ class FiniteProgram:
 
     @classmethod
     def build(cls, ops: LatticeOps, exprs: dict) -> "FiniteProgram":
-        """Compile each expression; the variables are the keys of `exprs`, in order."""
-        rhs = {name: compile_rhs_dsl(expr, ops) for name, expr in exprs.items()}
-        return cls(ops, list(exprs), exprs, EquationSystem(rhs))
+        """Compile each expression; the variables are the keys of `exprs`, in order.
+
+        A `Program` is stored as its code tuple and rebuilt on each request;
+        anything else `compile_rhs_dsl` returns is stored and served as it is.
+        """
+        stored = {}
+        for name, expr in exprs.items():
+            entry = compile_rhs_dsl(expr, ops)
+            stored[name] = entry.code if entry.__class__ is Program else entry
+
+        def rhs(var):
+            try:
+                entry = stored[var]
+            except KeyError:
+                raise UnknownVariableError(var) from None
+            return Program(entry, ops) if entry.__class__ is tuple else entry
+
+        variables = list(exprs)
+        return cls(ops, variables, exprs, EquationSystem(rhs, variables))
 
 
 def is_closed(assignment: Assignment, system: EquationSystem) -> bool:

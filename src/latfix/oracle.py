@@ -185,6 +185,12 @@ def system_monotone(system: EquationSystem, ops: LatticeOps, *,
 
 # --- random systems -----------------------------------------------------------
 
+# name -> its ("get", name) leaf, the name interned: shared by every generated
+# system.  Filled by `setdefault` only, so an entry, once there, never changes.
+# It holds one leaf per name generated so far, as many as the largest system.
+_GET_LEAVES: dict = {}
+
+
 @gc_paused
 def gen_random_system(seed: int, nvars: int, descriptor: LatticeDescriptor,
                       depth: int, monotone_only: bool) -> FiniteProgram:
@@ -193,10 +199,11 @@ def gen_random_system(seed: int, nvars: int, descriptor: LatticeDescriptor,
     Right-hand sides are DSL expressions over get/lit/join/meet, plus
     eq/leq-guarded conditionals when non-monotone shapes are allowed; every
     query targets one of the generated variables.  Expressions share their
-    leaves: a system holds one `("get", y)` node per variable and one
-    `("lit", v)` node per distinct value, and variable names are interned,
-    so systems of any size share them.  Sharing changes no draw: the seed
-    alone fixes the expressions.
+    leaves: a system holds one `("lit", v)` node per distinct value, and one
+    `("get", y)` node per variable, taken with its interned name from a
+    module-level table, so every generated system shares it too.  Sharing
+    changes no draw: the seed alone fixes the expressions, whichever calls
+    came before.
 
     The seed's `random.Random` is drawn on only through `random()`,
     `getrandbits` and `ops.sample`.  Each choice among n items is made as
@@ -209,7 +216,7 @@ def gen_random_system(seed: int, nvars: int, descriptor: LatticeDescriptor,
     rng = random.Random(seed)
     draw, bits = rng.random, rng.getrandbits
     variables = [sys.intern(f"y{i + 1}") for i in range(nvars)]
-    gets = [("get", v) for v in variables]
+    gets = [_GET_LEAVES.setdefault(v, ("get", v)) for v in variables]
     lits: dict = {}
     forms = ("join", "meet") if monotone_only else ("join", "meet", "ite")
     nforms = len(forms)

@@ -1,4 +1,5 @@
-"""Mutation runner for the solver core, `check_stratified` and the CLI's front end.
+"""Mutation runner for the solver core, `check_stratified`, the CLI's front end
+and the layout of finite systems.
 
 Each mutant is one textual edit of a file under `src/`: the old text, the new
 text and the fault it stands for.  The runner copies the repository to a
@@ -36,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOLVER_TESTS = ("tests/test_solvers.py", "tests/test_golden.py", "tests/test_acceptance.py")
 STRATIFY_TESTS = ("tests/test_interproc.py", "tests/test_solvers.py", "tests/test_golden.py")
 CLI_TESTS = ("tests/test_cli.py", "tests/test_golden.py")
+LAYOUT_TESTS = ("tests/test_eqsys.py", "tests/test_oracle.py", "tests/test_golden.py")
 LIMIT = 240  # seconds per mutant; tier-1's own per-test limit is 60 s
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                               ".perfbench", "*.egg-info")
@@ -53,6 +55,7 @@ class Mutant:
 
 
 S, I, C = "src/latfix/solvers.py", "src/latfix/interproc.py", "src/latfix/cli.py"
+E, O = "src/latfix/eqsys.py", "src/latfix/oracle.py"
 
 MUTANTS = [
     # --- _demand: killed -------------------------------------------------------
@@ -266,6 +269,23 @@ MUTANTS = [
            'return f"({text})" if operand else text',
            "return text",
            "the formatter writes operands without their parentheses", CLI_TESTS),
+    # --- the layout of finite systems ---------------------------------------------------
+    Mutant("rhs-wraps-answers", E,
+           "return Program(entry, ops) if entry.__class__ is tuple else entry",
+           "return Program(entry, ops)",
+           "a finite system's rhs wraps every stored entry, answers included",
+           LAYOUT_TESTS),
+    Mutant("leaf-of-another-name", O,
+           'gets = [_GET_LEAVES.setdefault(v, ("get", v)) for v in variables]',
+           'gets = [_GET_LEAVES.setdefault(v, ("get", w))\n'
+           '            for v, w in zip(variables, variables[1:] + variables[:1])]',
+           "the leaf table pairs each name with the next name's leaf",
+           LAYOUT_TESTS),
+    Mutant("build-stores-program", E,
+           "stored[name] = entry.code if entry.__class__ is Program else entry",
+           "stored[name] = entry",
+           "a finite system stores each Program, not its code",
+           LAYOUT_TESTS),
 ]
 
 

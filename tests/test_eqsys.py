@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+import latfix.oracle
 from latfix import (
     Answer,
     Assignment,
     EquationSystem,
+    Program,
     Query,
     UnknownVariableError,
     compile_rhs_dsl,
@@ -282,3 +284,42 @@ def test_the_paused_builders_leave_no_cyclic_garbage():
         for index, (build, args) in enumerate(calls):
             build(*args)
             assert gc.collect() == 0, (build.__name__, index)
+
+
+# --- the layout of finite systems ---------------------------------------------------------
+
+def _programs():
+    return sum(1 for obj in gc.get_objects() if obj.__class__ is Program)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen_random_system(7, 2000, Chain(5), 3, False),
+    lambda: parse_finite_file(ring_text(2000)),
+], ids=["generated", "parsed"])
+def test_a_built_finite_system_keeps_no_program(build):
+    with collector(False):
+        gc.collect()
+        before = _programs()
+        prog = build()
+        assert _programs() == before
+    assert len(prog.variables) == 2000
+
+
+def test_requests_share_the_stored_code_and_answers_come_back_as_they_are():
+    prog = parse_finite_file("lattice natinf\nvar y1 = inc (get y2)\nvar y2 = lit 3\n")
+    first, second = prog.system.rhs("y1"), prog.system.rhs("y1")
+    assert first.__class__ is Program and second.__class__ is Program
+    assert first.code is second.code
+    assert first.ops is prog.ops
+    assert prog.system.rhs("y2") is prog.system.rhs("y2") == Answer(3)
+    assert prog.system.all_vars is prog.variables
+
+
+def test_a_generated_system_does_not_depend_on_earlier_calls(monkeypatch):
+    args = (11, 30, Chain(4), 3, False)
+    monkeypatch.setattr(latfix.oracle, "_GET_LEAVES", {})
+    first = format_finite_file(gen_random_system(*args))
+    monkeypatch.setattr(latfix.oracle, "_GET_LEAVES", {})
+    gen_random_system(12, 450, Chain(6), 2, False)
+    gen_random_system(13, 3, Chain(3), 2, False)
+    assert format_finite_file(gen_random_system(*args)) == first

@@ -291,6 +291,10 @@ def test_generated_systems_share_leaves_and_names():
     assert all(id(leaf[1]) in names for leaf in nodes if leaf[0] == "get")
     other = gen_random_system(6, 150, Chain(4), 2, monotone_only=True)
     assert all(a is b for a, b in zip(gen.variables, other.variables))
+    held = {leaf: leaf for leaf in nodes}  # each distinct leaf, as the one object gen holds
+    read_by_both = [leaf for expr in other.exprs.values() for leaf in _leaves(expr)
+                    if leaf[0] == "get" and leaf in held]
+    assert read_by_both and all(held[leaf] is leaf for leaf in read_by_both)
 
 
 def test_monotone_corpus_is_monotone():
