@@ -40,6 +40,11 @@ are most of the code, so their opcodes are the highest and `eval_tree` tells
 them from the rest with one comparison, right after the four instructions
 both languages use most.
 
+Only GET and CELL read variables, and only GET names its variable in the
+code: `static_reads` decodes a program by instruction width and lists its
+GET operands, on both branches of every comparison.  Since a right-hand side
+is pure, its value depends on those variables alone.
+
 A CALL's function is stored in the code; the other lattice operations are
 looked up on the program's ops object when an instruction runs.  `eval_tree`
 serves `tsrr` and the checks; the demand-driven solvers' core runs the same
@@ -60,6 +65,8 @@ VarId = Hashable
 Lookup = Callable[[VarId], Value]
 
 OP_GET, OP_LIT, OP_JOIN, OP_MEET, OP_EQ, OP_LEQ, OP_JMP, OP_CELL, OP_CTX, OP_CALL = range(10)
+# Each instruction's width in code words, by opcode: the opcode and its operand.
+_WIDTH = (2, 2, 1, 1, 2, 2, 2, 2, 1, 2)
 
 
 class UnknownVariableError(KeyError):
@@ -94,6 +101,31 @@ class Program:
 
 
 Tree = Answer | Query | Program
+
+
+def static_reads(tree: Tree) -> set | None:
+    """The variables a right-hand side can read, or None if its code does not say.
+
+    An `Answer` reads nothing; a program reads the operands of its GET
+    instructions, on every branch.  A `Query` tree's reads show only as it
+    runs, and a CELL computes the variable it reads: for those, None.
+    """
+    if tree.__class__ is Answer:
+        return set()
+    if tree.__class__ is not Program:
+        return None
+    code = tree.code
+    reads = set()
+    pc = 0
+    end = len(code)
+    while pc < end:
+        op = code[pc]
+        if op == OP_GET:
+            reads.add(code[pc + 1])
+        elif op == OP_CELL:
+            return None
+        pc += _WIDTH[op]
+    return reads
 
 
 def gc_paused(fn):

@@ -1,11 +1,12 @@
 """Brute-force checks for finite instances.
 
-Everything here trades time for trust: post-solution checks (of the system
-and of its lower monotonization, by enumerating all larger assignments),
-monotonicity by enumeration, and a deterministic random-system generator for
-corpus-style properties.  `latfix verify` and the benchmark call these.  All
-of it is meant for desk-scale instances and guarded by explicit enumeration
-budgets.
+Everything here trades time for trust: post-solution checks (of the system,
+and of its lower monotonization by enumerating larger assignments of the
+variables each right-hand side's code reads, which is exact because
+right-hand sides are pure, see `eqsys`), monotonicity by enumeration, and a
+deterministic random-system generator for corpus-style properties.
+`latfix verify` and the benchmark call these.  All of it is meant for
+desk-scale instances and guarded by explicit enumeration budgets.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 import sys
 
 from .eqsys import (
+    Answer,
     Assignment,
     EquationSystem,
     FiniteProgram,
@@ -22,6 +24,7 @@ from .eqsys import (
     eval_tree,
     extend_top,
     gc_paused,
+    static_reads,
 )
 from .lattice import LatticeDescriptor, LatticeOps, make_domain
 
@@ -80,27 +83,51 @@ def is_post_solution_lower_mono(assignment: Assignment, system: EquationSystem,
                                 eval_budget: int = DEFAULT_EVAL_BUDGET) -> bool:
     """Is the top-extension a post-solution of the lower monotonization?
 
-    The meet over all larger assignments only ever shrinks, so enumeration
-    stops as soon as the running meet drops below the target value.
+    For each variable y the meet of f(sigma')(y) ranges over the larger
+    assignments sigma', but for a program only the variables its code can
+    read are enumerated (`static_reads`).  That is exact: a right-hand side
+    is pure, so coordinates it does not read cannot change its value, and the
+    restricted product yields the same set of values as the full one.  A
+    `Query` tree, a CELL and, for now, an `Answer` are enumerated over every
+    variable.  Up-sets are built only for the variables enumerated.  The meet
+    only ever shrinks, so enumeration stops as soon as it drops below the
+    target value.
     """
     variables = system.all_vars
     if variables is None:
         raise OracleError("lower monotonization needs an explicit variable list")
     lookup = extend_top(assignment)
-    base_map = {v: lookup(v) for v in variables}
+    position = {v: i for i, v in enumerate(variables)}
     budget = _Budget(eval_budget)
     all_values = _values(ops, budget)
-    per_var = [[w for w in all_values if ops.leq(base_map[v], w)] for v in variables]
+    upsets: dict = {}
+
+    def upset(v):
+        if v not in upsets:
+            lo = lookup(v)
+            upsets[v] = [w for w in all_values if ops.leq(lo, w)]
+        return upsets[v]
+
     for y in variables:
-        bound = base_map[y]
+        bound = lookup(y)
         if ops.eq(bound, ops.top):
             continue
         tree = system.rhs(y)
+        reads = static_reads(tree)
+        # One evaluation would settle an Answer; it is enumerated in full
+        # for now (ROADMAP item 4).
+        if reads is None or tree.__class__ is Answer:
+            read = variables
+        else:  # a read of an unknown variable is left to fail as it runs
+            read = sorted((v for v in reads if v in position), key=position.__getitem__)
         acc = None
         reached = False
-        for combo in itertools.product(*per_var):
+        # A list, not a map: unpacking an iterator builds the argument tuple
+        # by resizing, which parks one tuple per call on CPython's free list
+        # for its size, about 1 MB on a corpus of 3 to 7 variables.
+        for combo in itertools.product(*[upset(v) for v in read]):
             budget.spend()
-            value = eval_tree(tree, dict(zip(variables, combo)))
+            value = eval_tree(tree, dict(zip(read, combo)))
             acc = value if acc is None else ops.meet(acc, value)
             if ops.leq(acc, bound):
                 reached = True

@@ -1,5 +1,5 @@
-"""Mutation runner for the solver core, `check_stratified`, the CLI's front end
-and the layout of finite systems.
+"""Mutation runner for the solver core, `check_stratified`, the CLI's front end,
+the layout of finite systems and the read sets of right-hand sides.
 
 Each mutant is one textual edit of a file under `src/`: the old text, the new
 text and the fault it stands for.  The runner copies the repository to a
@@ -11,6 +11,8 @@ with pytest under a wall-clock limit and prints one line per mutant:
   hung      the subset ran past the limit
   deleted   the mutated code is gone from `src/`, with the argument for
             its equivalence in the entry (and in CHANGES.md)
+
+and last a summary line that counts the verdicts.
 
 A survivor is either a test to add or code to delete.  The name does not match
 `test_*`, so pytest does not collect it; it runs a suite per mutant, which is
@@ -30,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -286,6 +289,21 @@ MUTANTS = [
            "stored[name] = entry",
            "a finite system stores each Program, not its code",
            LAYOUT_TESTS),
+    # --- the read sets of right-hand sides ------------------------------------------------
+    Mutant("join-decoded-wide", E,
+           "_WIDTH = (2, 2, 1, 1, 2, 2, 2, 2, 1, 2)",
+           "_WIDTH = (2, 2, 3, 1, 2, 2, 2, 2, 1, 2)",
+           "a JOIN is decoded three words wide, so the GET after it is skipped",
+           LAYOUT_TESTS),
+    Mutant("query-reads-nothing", E,
+           "    if tree.__class__ is Answer:\n"
+           "        return set()\n"
+           "    if tree.__class__ is not Program:\n"
+           "        return None\n",
+           "    if tree.__class__ is not Program:\n"
+           "        return set()\n",
+           "a Query tree is taken to read nothing, like an Answer",
+           LAYOUT_TESTS),
 ]
 
 
@@ -324,13 +342,15 @@ def main(argv=None):
     if unknown:
         parser.error(f"unknown mutants: {', '.join(unknown)}")
     width = max(len(m.name) for m in MUTANTS)
-    bad = 0
+    verdicts = Counter()
     for mutant in [by_name[n] for n in args.names] or MUTANTS:
         verdict, seconds = run(mutant)
-        bad += verdict not in ("killed", "deleted")
+        verdicts[verdict] += 1
         print(f"{mutant.name:<{width}}  {verdict:<8}  {seconds:6.1f} s  "
               f"{mutant.file}: {mutant.fault}", flush=True)
-    return 1 if bad else 0
+    print(f"{sum(verdicts.values())} mutants: "
+          + ", ".join(f"{n} {v}" for v, n in sorted(verdicts.items())))
+    return 0 if verdicts.keys() <= {"killed", "deleted"} else 1
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from latfix import (
     is_closed,
     tree_dep,
 )
-from latfix.eqsys import gc_paused
+from latfix.eqsys import gc_paused, static_reads
 from latfix.lattice import Chain, INF, NatInf, Powerset, make_domain
 from latfix.cli import format_finite_file, parse_finite_file, parse_scheme_file
 
@@ -129,6 +129,16 @@ def test_ite_leq_incomparable_falls_to_else():
     assert eval_tree(tree, incomparable) == frozenset("b")
 
 
+def test_static_reads_are_the_gets_on_every_branch():
+    expr = ("ite", ("leq", ("get", "g"), ("lit", 3)),
+            ("join", ("join", ("get", "a"), ("get", "b")), ("get", "c")),
+            ("meet", ("meet", ("inc", ("get", "d")), ("get", "e")), ("get", "f")))
+    assert static_reads(compile_rhs_dsl(expr, NAT)) == set("gabcdef")
+    assert static_reads(compile_rhs_dsl(("lit", 7), NAT)) == set()
+    assert static_reads(Query("a", Answer)) is None
+    assert static_reads(compile_rhs_dsl(("cell", "p", ("get", "a")), NAT)) is None
+
+
 # --- randomized structural properties -------------------------------------------
 
 def random_expr(rng, ops, variables, depth):
@@ -194,6 +204,16 @@ def test_dependency_property_random():
         assert ops.eq(eval_tree(tree, lookup1), eval_tree(tree, lookup2))
         _, trace = eval_tree_traced(tree, lookup1)
         assert set(trace) <= deps
+
+
+def test_static_reads_cover_what_evaluation_reads():
+    rng = random.Random(7)
+    variables = ["y1", "y2", "y3"]
+    for _ in range(1000):
+        ops = rng.choice(DOMAIN_POOL)
+        tree = compile_rhs_dsl(random_expr(rng, ops, variables, rng.randint(0, 3)), ops)
+        lookup = {v: ops.sample(rng) for v in variables}
+        assert tree_dep(tree, lookup) <= static_reads(tree)
 
 
 def test_compiled_tree_matches_direct_evaluator():

@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 from latfix import (
     Answer,
     Assignment,
+    EquationSystem,
     OracleBudgetError,
     OracleError,
+    Program,
+    Query,
     SolveStatus,
     compile_rhs_dsl,
     gen_random_system,
@@ -35,6 +38,7 @@ from oracle_ref import (
     powerset_interval_galois,
 )
 
+CHAIN3 = make_domain(Chain(3))
 CHAIN4 = make_domain(Chain(4))
 POW_AB = make_domain(Powerset(("a", "b")))
 
@@ -154,13 +158,96 @@ def test_is_post_solution_lower_mono_examples():
 
 
 def test_lower_mono_check_refuses_past_its_evaluation_budget():
-    # Refuting y = 1 enumerates all 3 * 4 assignments at or above (1, 0).
-    ops, system, _ = finite_system("lattice chain 4\nvar y = lit 3\nvar z = get y\n")
-    refuted = Assignment(ops, {"y": 1, "z": 0})
+    # Refuting y = 0 enumerates the 4 * 3 assignments of y and z at or above
+    # (0, 1); w, which y's right-hand side does not read, is not enumerated.
+    ops, system, _ = finite_system("lattice chain 4\n"
+                                   "var y = join (meet (get y) (get z)) (lit 1)\n"
+                                   "var z = get y\n"
+                                   "var w = get w\n")
+    refuted = Assignment(ops, {"y": 0, "z": 1, "w": 0})
     assert not is_post_solution_lower_mono(refuted, system, ops, eval_budget=12)
     with pytest.raises(OracleBudgetError,
                        match="enumeration budget of 11 evaluations exceeded"):
         is_post_solution_lower_mono(refuted, system, ops, eval_budget=11)
+
+
+def test_lower_mono_check_enumerates_only_what_each_rhs_reads():
+    # Each y_i reads y_{i+1} alone: refuting all-bottom takes y0's 4
+    # evaluations and accepting all-1 one per variable, where the product
+    # over every variable would have 4 ** 12 assignments.
+    n = 12
+    ops, system, variables = finite_system("lattice chain 4\n" + "".join(
+        f"var y{i} = join (get y{(i + 1) % n}) (lit 1)\n" for i in range(n)))
+    bottom = Assignment(ops, dict.fromkeys(variables, 0))
+    assert not is_post_solution_lower_mono(bottom, system, ops, eval_budget=48)
+    ones = Assignment(ops, dict.fromkeys(variables, 1))
+    assert is_post_solution_lower_mono(ones, system, ops, eval_budget=n)
+
+
+def _verdicts_against_the_reference(system, ops, variables):
+    """The check's verdicts on every total assignment, each asserted equal to the reference's."""
+    verdicts = set()
+    for combo in itertools.product(ops.values(), repeat=len(variables)):
+        a = Assignment(ops, dict(zip(variables, combo)))
+        expected = all(
+            ops.leq(lower_mono_value(system.rhs(y), a, variables, ops), a[y])
+            for y in variables)
+        assert is_post_solution_lower_mono(a, system, ops) == expected
+        verdicts.add(expected)
+    return verdicts
+
+
+def _one_branch_expr(rng, ops, variables):
+    """An ite whose guard reads one variable and whose other reads are in one branch."""
+    guard = (rng.choice(["eq", "leq"]), ("get", rng.choice(variables)),
+             ("lit", ops.sample(rng)))
+    reads = ("meet", ("get", rng.choice(variables)), ("get", rng.choice(variables)))
+    branches = [reads, ("lit", ops.sample(rng))]
+    rng.shuffle(branches)
+    return ("ite", guard, *branches)
+
+
+def _gated_query(ops, a, b, threshold):
+    """Hand-built and not monotone: top while a is at most the threshold, else a meet b."""
+    def after_a(x):
+        if ops.leq(x, threshold):
+            return Answer(ops.top)
+        return Query(b, lambda z: Answer(ops.meet(x, z)))
+
+    return Query(a, after_a)
+
+
+@pytest.mark.parametrize("descriptor", [Chain(3), Chain(4), Powerset(("a", "b"))],
+                         ids=str)
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_lower_mono_check_falls_back_where_the_code_does_not_say(descriptor, nvars):
+    # Answers, a hand-built Query tree patched in and ites that read in one
+    # branch only, against the reference on every total assignment.
+    ops = make_domain(descriptor)
+    rng = random.Random(nvars * 7 + len(ops.values()))
+    variables = [f"y{i + 1}" for i in range(nvars)]
+    rhs = {variables[0]: _gated_query(ops, rng.choice(variables),
+                                      rng.choice(variables), ops.sample(rng)),
+           variables[1]: compile_rhs_dsl(("lit", ops.top), ops)}
+    for y in variables[2:]:
+        rhs[y] = compile_rhs_dsl(_one_branch_expr(rng, ops, variables), ops)
+    kinds = {Query, Answer} if nvars == 2 else {Query, Answer, Program}
+    assert {type(tree) for tree in rhs.values()} == kinds
+    system = EquationSystem(rhs, all_vars=variables)
+    assert _verdicts_against_the_reference(system, ops, variables) == {True, False}
+
+
+def test_lower_mono_check_falls_back_on_cells():
+    # A CELL reads the variable its operand names, so every variable is
+    # enumerated; here the variables are (point, value) pairs over chain 3.
+    ops = CHAIN3
+    variables = [("p", v) for v in ops.values()]
+    rhs = {("p", 0): compile_rhs_dsl(("cell", "p", ("get", ("p", 2))), ops),
+           ("p", 1): compile_rhs_dsl(("lit", 1), ops),
+           ("p", 2): compile_rhs_dsl(("meet", ("cell", "p", ("get", ("p", 1))),
+                                      ("get", ("p", 0))), ops)}
+    system = EquationSystem(rhs, all_vars=variables)
+    assert _verdicts_against_the_reference(system, ops, variables) == {True, False}
 
 
 def test_post_solution_implies_lower_mono_post_exhaustive():
