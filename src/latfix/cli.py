@@ -344,16 +344,15 @@ def parse_scheme_file(text: str) -> Scheme:
         start = (tokens[0], ops.parse(tokens[1]))
     except LatticeError as exc:
         raise ParseError(str(exc), lineno) from None
-    # The parser has checked all that Scheme.validate checks.
-    return Scheme(ops, tuple(rhs), rhs, builtins, start)
+    return Scheme(ops, rhs, builtins, start)
 
 
 def format_scheme_file(scheme: Scheme) -> str:
     ops = scheme.ops
     lines = ["scheme " + _lattice_directive(ops),
              f"start {scheme.start[0]} {ops.format(scheme.start[1])}"]
-    lines += [f"point {point} = {_render(scheme.rhs[point], ops)}"
-              for point in scheme.points]
+    lines += [f"point {point} = {_render(expr, ops)}"
+              for point, expr in scheme.rhs.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -405,7 +404,7 @@ def _scheme_start(scheme, override):
     point, sep, value = override.partition(":")
     if not sep:
         raise UsageError("--start for schemes takes POINT:VALUE")
-    if point not in scheme.points:
+    if point not in scheme.rhs:
         raise UsageError(f"unknown start point {point!r}")
     try:
         return (point, scheme.ops.parse(value))

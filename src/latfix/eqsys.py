@@ -16,11 +16,12 @@ is well defined.  It takes one of two forms, and `eval_tree` runs both:
            static data, so evaluation allocates no nodes or closures.  A
            right-hand side that reads nothing compiles to an `Answer`.
 
-A finite system (`FiniteProgram.build`) stores each compiled right-hand
-side's code tuple, not its `Program`, and its `rhs(var)` wraps the code in a
-fresh `Program` on each request, as a scheme's system does per (point,
-context).  The solvers request each right-hand side once per solve and keep
-only its code, so no `Program` lives per variable.
+An `EquationSystem` is a record of the caller's `rhs` function and, if the
+system is finite, its variable list.  A finite system (`FiniteProgram.build`)
+stores each compiled right-hand side's code tuple, not its `Program`, and its
+`rhs(var)` wraps the code in a fresh `Program` on each request, as a scheme's
+system does per (point, context).  The solvers request each right-hand side
+once per solve and keep only its code, so no `Program` lives per variable.
 
 Instructions (operands in brackets; "pop b, a" pops the top first):
 
@@ -241,11 +242,11 @@ def tree_dep(tree: Tree, lookup) -> set:
 
 
 class Assignment:
-    """Partial map from variables to values of one domain."""
+    """Partial map from variables to values of one domain: the dict given, not a copy."""
 
-    def __init__(self, ops: LatticeOps, values: Mapping[VarId, Value]):
+    def __init__(self, ops: LatticeOps, values: dict):
         self.ops = ops
-        self.values = dict(values)
+        self.values = values
 
     @property
     def dom(self) -> set:
@@ -257,24 +258,13 @@ class Assignment:
         except KeyError:
             raise UnknownVariableError(var) from None
 
-    def __contains__(self, var):
-        return var in self.values
-
-    def __len__(self):
-        return len(self.values)
-
+    # Equal by value: a `SolverResult` compares its assignment, and
+    # perfbench/run.py checks each repeated operation's result against the first.
     def __eq__(self, other):
         return isinstance(other, Assignment) and self.values == other.values
 
     def items(self):
         return self.values.items()
-
-    def __repr__(self):
-        body = ", ".join(
-            f"{v!r}: {self.ops.format(d)}" for v, d in sorted(
-                self.values.items(), key=lambda kv: str(kv[0]))
-        )
-        return "Assignment({%s})" % body
 
 
 def extend_top(assignment: Assignment) -> Lookup:
@@ -288,34 +278,19 @@ def extend_top(assignment: Assignment) -> Lookup:
     return lookup
 
 
+@dataclass
 class EquationSystem:
-    """Total mapping from variables to right-hand sides (trees or programs).
+    """A right-hand side (tree or program) for every variable.
 
-    The mapping may be defined lazily over an infinite variable space; for
-    explicitly finite systems `all_vars` lists every variable.  The list is
-    kept as given, not copied, so its owner must not change it.  Repeated
-    requests for the same variable must yield behaviorally identical ones.
+    `rhs(var)` is the caller's function itself: it may be defined lazily over
+    an infinite variable space, raises `UnknownVariableError` outside the
+    system, and must give behaviorally identical right-hand sides for repeated
+    requests.  A finite system lists its variables in `all_vars`, kept as
+    given, not copied, so its owner must not change it.
     """
 
-    def __init__(self, rhs, all_vars: list | None = None):
-        if callable(rhs):
-            self._rhs = rhs
-        else:
-            mapping = dict(rhs)
-
-            def from_map(var):
-                try:
-                    return mapping[var]
-                except KeyError:
-                    raise UnknownVariableError(var) from None
-
-            self._rhs = from_map
-            if all_vars is None:
-                all_vars = list(mapping)
-        self.all_vars = all_vars
-
-    def rhs(self, var) -> Tree:
-        return self._rhs(var)
+    rhs: Callable[[VarId], Tree]
+    all_vars: list | None = None
 
 
 @dataclass

@@ -10,6 +10,11 @@ scheme denotes a family of equations over the possibly infinite variable
 space (point, context-value).  Instantiation is lazy; the solvers
 materialize variables on demand.
 
+A `Scheme`'s points are the keys of its `rhs` dict.  The parser checks a
+scheme file as it reads it; to check a scheme built by hand, round-trip it
+through `latfix.cli.format_scheme_file` and `parse_scheme_file` and compare
+the expressions.
+
 Stratification is the termination handle: if levels can be assigned so that
 same-level cells pass the context through unchanged and all other cells go
 strictly down, the demand-driven solvers only ever meet finitely many
@@ -73,45 +78,9 @@ def resolve_builtin(name: str, ops: LatticeOps) -> Callable:
 @dataclass
 class Scheme:
     ops: LatticeOps
-    points: tuple
-    rhs: dict          # point -> expression
+    rhs: dict          # point -> expression; its keys are the points, in order
     builtins: dict     # name -> unary function, for the `apply` nodes
-    start: tuple
-
-    def validate(self):
-        points = set(self.points)
-        if len(points) != len(self.points):
-            raise SchemeError("duplicate point names")
-        for u in self.points:
-            if u not in self.rhs:
-                raise SchemeError(f"point {u!r} has no equation")
-        if self.start[0] not in points:
-            raise SchemeError(f"start point {self.start[0]!r} is not declared")
-        self.ops.validate(self.start[1])
-        for u in self.points:
-            self._validate_expr(self.rhs[u], points)
-        return self
-
-    def _validate_expr(self, expr, points):
-        tag = expr[0]
-        if tag == "apply":
-            if expr[1] not in self.builtins:
-                raise SchemeError(f"unknown builtin {expr[1]!r}")
-            usage, args, count = f"builtin {expr[1]!r} takes 1 operand", expr[2:], 1
-        elif tag == "join" or tag == "meet":
-            usage, args, count = f"form {tag!r} takes 2 operands", expr[1:], 2
-        elif tag == "cell" and len(expr) == 3:
-            if expr[1] not in points:
-                raise SchemeError(f"unknown point {expr[1]!r}")
-            args, count = expr[2:], 1
-        elif (tag == "lit" and len(expr) == 2) or expr == ("ctx",):
-            return
-        else:
-            raise SchemeError(f"bad expression node {expr!r}")
-        if count != len(args):
-            raise SchemeError(f"{usage}, got {len(args)}")
-        for a in args:
-            self._validate_expr(a, points)
+    start: tuple       # (point, context value)
 
 
 def instantiate_system(scheme: Scheme) -> EquationSystem:
@@ -229,18 +198,19 @@ def check_stratified(scheme: Scheme):
     Callees' components are numbered lower, so one pass over the edges in
     order of their source's component folds every level.
     """
+    rhs = scheme.rhs
     edges = []
-    for u in scheme.points:
-        edges.extend(_cell_edges(u, scheme.rhs[u]))
-    succs = {u: [] for u in scheme.points}
+    for u, expr in rhs.items():
+        edges.extend(_cell_edges(u, expr))
+    succs = {u: [] for u in rhs}
     for u, u2, _ in edges:
         succs[u].append(u2)
-    comp = _components(scheme.points, succs)
+    comp = _components(rhs, succs)
     for u, u2, strict in edges:
         if strict and comp[u] == comp[u2]:
             return CounterexampleCycle(_cycle_through(u, u2, comp, succs))
-    level = [0] * len(scheme.points)
+    level = [0] * len(rhs)
     for u, u2, strict in sorted(edges, key=lambda edge: comp[edge[0]]):
         c = comp[u]
         level[c] = max(level[c], level[comp[u2]] + strict)
-    return {u: level[comp[u]] for u in scheme.points}
+    return {u: level[comp[u]] for u in rhs}

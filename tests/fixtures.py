@@ -28,7 +28,7 @@ from latfix.interproc import _cell_edges
 from latfix.solvers import DEFAULT_VAR_BUDGET
 from latfix.lattice import Chain, Powerset, make_domain
 
-from oracle_ref import call_loop_system
+from oracle_ref import call_loop_system, system_of
 
 EX1_NATINF = """\
 lattice natinf
@@ -247,10 +247,10 @@ def counted(system):
 
 def check_levels(scheme, levels):
     """Independent check of the stratification invariants for a witness."""
-    for u in scheme.points:
+    for u, expr in scheme.rhs.items():
         if u not in levels:
             return False
-        for caller, callee, strict in _cell_edges(u, scheme.rhs[u]):
+        for caller, callee, strict in _cell_edges(u, expr):
             if levels[callee] == levels[caller]:
                 if strict:
                     return False
@@ -347,7 +347,7 @@ def reference_instantiate(scheme):
 def reference_system(gen):
     """The generated system's equations as reference trees."""
     rhs = {v: reference_compile_dsl(e, gen.ops) for v, e in gen.exprs.items()}
-    return EquationSystem(rhs, all_vars=gen.variables)
+    return system_of(rhs, all_vars=gen.variables)
 
 
 def reference_gen_exprs(seed, nvars, descriptor, depth, monotone_only):

@@ -21,6 +21,7 @@ from latfix.eqsys import (
     EquationSystem,
     Query,
     Tree,
+    UnknownVariableError,
     eval_tree,
     extend_top,
     tree_dep,
@@ -32,6 +33,23 @@ from latfix.oracle import (
     OracleError,
     _Budget,
 )
+
+
+def system_of(mapping, all_vars=None) -> EquationSystem:
+    """The system whose right-hand sides `mapping` lists, one per variable.
+
+    An unlisted variable raises `UnknownVariableError`.  `all_vars` defaults
+    to the mapping's keys, in order.
+    """
+    rhs = dict(mapping)
+
+    def lookup(var):
+        try:
+            return rhs[var]
+        except KeyError:
+            raise UnknownVariableError(var) from None
+
+    return EquationSystem(lookup, list(rhs) if all_vars is None else all_vars)
 
 
 def kleene_least_solution(system: EquationSystem, ops: LatticeOps, *,
@@ -126,7 +144,7 @@ class ConcreteSystem:
     ops: LatticeOps
 
     def system(self) -> EquationSystem:
-        return EquationSystem(self.rhs, all_vars=list(self.variables))
+        return system_of(self.rhs, all_vars=list(self.variables))
 
 
 def _union_chain(var_list, seed, k):

@@ -99,7 +99,7 @@ def test_literal_operations_fold_at_compile_time():
     program = compile_rhs_dsl(expr, nat)
     assert isinstance(program, Program)
     assert program.code == (OP_GET, "y", OP_LIT, 2, OP_JOIN)
-    scheme = Scheme(nat, ("u",), {"u": ("lit", 5)}, {}, ("u", 0))
+    scheme = Scheme(nat, {"u": ("lit", 5)}, {}, ("u", 0))
     assert instantiate_system(scheme).rhs(("u", 1)) == Answer(5)
     scheme = parse_scheme_file("scheme natinf\nstart u 0\n"
                                "point u = join (cell u ctx) (apply dec (lit 3))\n")
@@ -146,7 +146,7 @@ def test_scheme_programs_match_reference_trees(kind):
     for _ in range(150):
         rhs = {p: random_scheme_expr(rng, ops, points, unary, rng.randint(0, 4))
                for p in points}
-        scheme = Scheme(ops, points, rhs, builtins, ("u", ops.bot)).validate()
+        scheme = Scheme(ops, rhs, builtins, ("u", ops.bot))
         system = instantiate_system(scheme)
         values = {}
 
@@ -179,9 +179,9 @@ def test_random_expressions_survive_format_then_parse():
         for _ in range(150):
             rhs = {p: random_scheme_expr(rng, ops, points, unary, rng.randint(0, 4))
                    for p in points}
-            scheme = Scheme(ops, points, rhs, builtins, ("v", ops.top)).validate()
+            scheme = Scheme(ops, rhs, builtins, ("v", ops.top))
             again = parse_scheme_file(format_scheme_file(scheme))
-            assert (again.rhs, again.points, again.start) == (rhs, points, scheme.start)
+            assert (again.rhs, tuple(again.rhs), again.start) == (rhs, points, scheme.start)
 
 
 def test_lookups_are_called_from_eval_tree_itself():
@@ -197,8 +197,7 @@ def test_lookups_are_called_from_eval_tree_itself():
                      ("inc", ("get", "b")), ("lit", 1)), ("get", "c"))
     eval_tree(compile_rhs_dsl(expr, nat), lookup)
     expr = ("cell", "u", ("apply", "inc", ("cell", "u", ("ctx",))))
-    scheme = Scheme(nat, ("u",), {"u": expr}, {"inc": resolve_builtin("inc", nat)},
-                    ("u", 0))
+    scheme = Scheme(nat, {"u": expr}, {"inc": resolve_builtin("inc", nat)}, ("u", 0))
     eval_tree(instantiate_system(scheme).rhs(("u", 0)), lookup)
     assert len(callers) == 5
     assert set(callers) == {eval_tree.__code__}
@@ -244,8 +243,7 @@ def test_solver_core_runs_scheme_programs_as_eval_tree_does(kind):
     points = ("u", "v", "w")
     for _ in range(150):
         expr = random_scheme_expr(rng, ops, points, unary, rng.randint(0, 4))
-        scheme = Scheme(ops, points, dict.fromkeys(points, expr), builtins,
-                        ("u", ops.bot)).validate()
+        scheme = Scheme(ops, dict.fromkeys(points, expr), builtins, ("u", ops.bot))
         ctx = ops.sample(rng)
         for tree in (instantiate_system(scheme).rhs(("u", ctx)),
                      reference_compile_dsl(expr, ops, builtins, ctx)):

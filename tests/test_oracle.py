@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from latfix import (
     Answer,
     Assignment,
-    EquationSystem,
     OracleBudgetError,
     OracleError,
     Program,
@@ -36,6 +35,7 @@ from oracle_ref import (
     kleene_least_solution,
     lower_mono_value,
     powerset_interval_galois,
+    system_of,
 )
 
 CHAIN3 = make_domain(Chain(3))
@@ -233,7 +233,7 @@ def test_lower_mono_check_falls_back_where_the_code_does_not_say(descriptor, nva
         rhs[y] = compile_rhs_dsl(_one_branch_expr(rng, ops, variables), ops)
     kinds = {Query, Answer} if nvars == 2 else {Query, Answer, Program}
     assert {type(tree) for tree in rhs.values()} == kinds
-    system = EquationSystem(rhs, all_vars=variables)
+    system = system_of(rhs, all_vars=variables)
     assert _verdicts_against_the_reference(system, ops, variables) == {True, False}
 
 
@@ -246,7 +246,7 @@ def test_lower_mono_check_falls_back_on_cells():
            ("p", 1): compile_rhs_dsl(("lit", 1), ops),
            ("p", 2): compile_rhs_dsl(("meet", ("cell", "p", ("get", ("p", 1))),
                                       ("get", ("p", 0))), ops)}
-    system = EquationSystem(rhs, all_vars=variables)
+    system = system_of(rhs, all_vars=variables)
     assert _verdicts_against_the_reference(system, ops, variables) == {True, False}
 
 

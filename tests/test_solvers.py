@@ -49,6 +49,7 @@ from fixtures import (
     solve_capped,
     stratified_chain_text,
 )
+from oracle_ref import system_of
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -94,7 +95,7 @@ def test_tsrr_monotone_join():
 
 
 def test_tsrr_unknown_variable_is_reported(ex1):
-    system = EquationSystem({"y1": Query("ghost", Answer)}, all_vars=["y1"])
+    system = system_of({"y1": Query("ghost", Answer)}, all_vars=["y1"])
     with pytest.raises(UnknownVariableError) as err:
         tsrr(["y1"], system, ex1.ops)
     assert err.value.var == "ghost"
@@ -298,7 +299,7 @@ def test_warrow_rejects_zero_fuel(ex1):
 def test_warrow_runs_dry_before_requesting_an_unknown_variable(ex1):
     # y2's right-hand side is requested at its first evaluation, which the
     # fuel check comes before; requested at discovery it would raise.
-    system = EquationSystem({"y1": Query("y2", Answer)})
+    system = system_of({"y1": Query("y2", Answer)})
     result = warrow_solve(system, "y1", ex1.ops, 1)
     assert result.status is SolveStatus.FUEL_EXHAUSTED
     assert result.assignment.dom == {"y1", "y2"}
@@ -319,7 +320,7 @@ def test_fuel_stops_tstp_and_tsmp(ex5, solver):
     assert short.stats.rhs_evals == short.stats.fuel_used == 2
     # tstp ran dry in its widening phase, before sigma1 was started.
     partial = short.sigma0 if solver is tstp else short.assignment
-    assert "y1" in partial
+    assert "y1" in partial.values
     assert (short.sigma0 is not None) == (solver is tstp)
     with pytest.raises(ValueError):
         solver(ex5.system, "y1", ex5.ops, fuel=0)
