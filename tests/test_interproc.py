@@ -65,17 +65,22 @@ MALFORMED = [("join", ("ctx",)), ("apply", "inc"), ("cell", "w", ("ctx",)), ("ge
              ("ctx", ("ctx",)), ("apply", "inc", ("ctx",), ("ctx",))]
 
 
+INC = {"inc": resolve_builtin("inc", NAT)}
+
+
 def test_a_round_trip_checks_a_hand_built_scheme():
-    inc = {"inc": resolve_builtin("inc", NAT)}
-    good = Scheme(NAT, {"u": ("apply", "inc", ("cell", "u", ("ctx",)))}, inc, ("u", 0))
+    good = Scheme(NAT, {"u": ("apply", "inc", ("cell", "u", ("ctx",)))}, INC, ("u", 0))
     assert parse_scheme_file(format_scheme_file(good)).rhs == good.rhs
-    for expr in MALFORMED:
-        scheme = Scheme(NAT, {"u": expr}, inc, ("u", 0))
-        try:
-            again = parse_scheme_file(format_scheme_file(scheme))
-        except (ParseError, IndexError):  # ("lit",) has no value to format
-            continue
-        assert again.rhs != scheme.rhs, expr
+
+
+@pytest.mark.parametrize("expr", MALFORMED)
+def test_a_round_trip_rejects_a_malformed_scheme(expr):
+    scheme = Scheme(NAT, {"u": expr}, INC, ("u", 0))
+    try:
+        again = parse_scheme_file(format_scheme_file(scheme))
+    except (ParseError, IndexError):  # ("lit",) has no value to format
+        return
+    assert again.rhs != scheme.rhs
 
 
 def test_resolve_builtin_errors():
